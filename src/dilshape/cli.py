@@ -17,7 +17,6 @@ from .errors import (
     BadDim,
     BadPosition,
     DegenerateCurve,
-    DegenerateDefect,
     DegenerateVariance,
     DimMismatch,
     FormatError,
@@ -50,10 +49,10 @@ _VALIDATION_ERRORS = (
     NotSquare, NotSymmetric, NotPositiveDefinite, NonPositiveDiagonal,
     InsufficientRealizations, DegenerateVariance, OutOfRange, BadPosition,
     NotOrthogonal, NotSkew, NotTangent, WrongComponent, NotClosed, DimMismatch,
+    NotAContraction,
 )
 _DEGENERACY_ERRORS = (
-    NotAContraction, DegenerateDefect, SingularStep, NearCutLocus,
-    VanishingVelocity, DegenerateCurve,
+    SingularStep, NearCutLocus, VanishingVelocity, DegenerateCurve,
 )
 _WINDOW_ERRORS = (TruncationWindowExceeded, BadDim, GridMismatch)
 

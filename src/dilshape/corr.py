@@ -101,10 +101,14 @@ def validate_spd(matrix, psd_tolerance: float = DEFAULT_PSD_TOLERANCE) -> Correl
     Raises
     ------
     NotSquare, NotSymmetric, NonPositiveDiagonal, NotPositiveDefinite
+    OutOfRange
+        An entry is not finite.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotSquare(f"expected a square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise OutOfRange("matrix entries must be finite")
     scale = max(1.0, float(np.abs(m).max()) if m.size else 1.0)
     if float(np.abs(m - m.T).max()) > SYMMETRY_RTOL * scale:
         raise NotSymmetric("matrix is not symmetric within relative tolerance "

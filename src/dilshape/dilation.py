@@ -10,6 +10,12 @@ matrices W_i (products of elementary rotation blocks) satisfying
     R[i][j] = e1^T W_i W_{i+1} ... W_{j-1} e1
 
 for lags j - i up to dim - 1, where dim is the truncation size of the W's.
+Extraction and reconstruction both evaluate this identity with one walk
+over the rows from the bottom: it keeps every column c_j = W_{k+1} ... W_{j-1}
+e1 in one array and applies W_k to it, two rows per rotation block, once row
+k is known.  Reconstruction reads R[k, j] = (e1^T W_k) c_j; extraction solves
+the same line for gamma[k, j], the only unknown in it (time-varying Schur
+parametrization, Lev-Ari & Kailath 1984; Constantinescu 1996).
 For a Toeplitz R all W_i coincide with the single matrix produced by
 :func:`naimark_matrix`, whose powers generate the entries instead.
 """
@@ -23,7 +29,6 @@ import numpy as np
 from .errors import (
     BadDim,
     BadPosition,
-    DegenerateDefect,
     NotAContraction,
     NotSquare,
     OutOfRange,
@@ -98,6 +103,8 @@ class SchurParams:
         g = self.gamma
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise NotSquare(f"gamma must be square, got shape {g.shape}")
+        if not np.isfinite(g).all():
+            raise OutOfRange("gamma entries must be finite")
         if float(np.abs(g).max(initial=0.0)) > 1.0:
             raise NotAContraction("|gamma| entries must not exceed 1")
         if np.any(np.tril(g) != 0.0):
@@ -132,110 +139,92 @@ def stationary_params(parcors, n: int) -> SchurParams:
     return SchurParams.from_gamma(g)
 
 
-def _nested(values: np.ndarray) -> np.ndarray:
-    """Row/column contraction entries: out[t] = values[t] * prod_{u<t} defect(values[u])."""
-    out = np.empty(values.size)
-    prefix = 1.0
-    for t, g in enumerate(values):
-        out[t] = prefix * g
-        prefix *= defect(g)
-    return out
+def _rotate(rows: np.ndarray, gammas) -> None:
+    """Left-multiply ``rows`` in place by G_1(gammas[0]) G_2(gammas[1]) ...
 
-
-def _u_matrix(gamma: np.ndarray, a: int, b: int, cache: dict | None = None) -> np.ndarray:
-    """Orthogonal coupling matrix on the index range a..b (inclusive, zero-based).
-
-    Defined by the recursion U(a, b) = [prod_l G_l(gamma[a, a+l])] (U(a+1, b) + I)
-    with the one-point base case U(b, b) = [1]; the direct sum adds one
-    trailing coordinate per level.
+    Block l sits on rows (l - 1, l), so each factor touches two rows only;
+    the rightmost factor is applied first.
     """
-    if cache is not None and (a, b) in cache:
-        return cache[(a, b)]
-    size = b - a + 1
-    u = np.eye(size)
-    if size > 1:
-        lower = _u_matrix(gamma, a + 1, b, cache)
-        u[:size - 1, :size - 1] = lower
-        for l in range(b - a, 0, -1):
-            # Left-multiplying by the block at rows (l-1, l) touches two rows only.
-            g = gamma[a, a + l]
-            d = defect(g)
-            top = u[l - 1].copy()
-            bot = u[l]
-            u[l - 1] = g * top + d * bot
-            u[l] = d * top - g * bot
-    if cache is not None:
-        cache[(a, b)] = u
-    return u
+    for l in range(len(gammas), 0, -1):
+        g = gammas[l - 1]
+        d = defect(g)
+        top = rows[l - 1].copy()
+        bot = rows[l]
+        rows[l - 1] = g * top + d * bot
+        rows[l] = d * top - g * bot
 
 
-def _entry_pieces(gamma: np.ndarray, k: int, j: int, cache: dict | None = None):
-    """Row contraction, coupling matrix, column contraction, defect product for (k, j)."""
-    row = _nested(gamma[k, k + 1:j])
-    col = _nested(gamma[k + 1:j, j][::-1])
-    u = _u_matrix(gamma, k + 1, j - 1, cache)
-    defects = 1.0
-    for t in range(k + 1, j):
-        defects *= defect(gamma[k, t]) * defect(gamma[t, j])
-    return row, u, col, defects
+def _walk(gamma: np.ndarray):
+    """Yield (k, cols) for rows k = n-2 .. 0, where cols[:, q] = c_{k+1+q}.
+
+    c_j = W_{k+1} ... W_{j-1} e1 is supported on its first q + 1 entries.
+    The caller must leave gamma[k, k+1:] final before resuming; the walk
+    then applies W_k to every column, which turns them into the columns of
+    row k - 1.
+    """
+    n = gamma.shape[0]
+    cols = np.zeros((n, n))
+    for k in range(n - 2, -1, -1):
+        cols[0, k + 1] = 1.0
+        block = cols[:n - k, k + 1:]
+        yield k, block
+        _rotate(block, gamma[k, k + 1:])
 
 
 def schur_reconstruct_entry(params: SchurParams, k: int, j: int) -> float:
     """Correlation entry (k, j), zero-based k < j, from the parameters alone.
 
-    Adjacent entries are the parameters themselves; for longer lags the entry
-    is row * coupling * column plus the defect-weighted parameter, all built
-    from parameters of strictly smaller lag.
+    The entry depends only on the parameters inside the window k..j, so it is
+    the corner of the matrix reconstructed from that sub-window.
     """
     n = params.n
     if not (0 <= k < j < n):
         raise IndexError(f"need 0 <= k < j < {n}, got ({k}, {j})")
-    gamma = params.gamma
-    if j == k + 1:
-        return float(gamma[k, j])
-    row, u, col, defects = _entry_pieces(gamma, k, j)
-    return float(row @ u @ col + defects * gamma[k, j])
+    window = SchurParams.from_gamma(params.gamma[k:j + 1, k:j + 1])
+    return float(reconstruct_matrix(window)[0, -1])
 
 
 def reconstruct_matrix(params: SchurParams) -> np.ndarray:
-    """Full correlation matrix from the parameters."""
-    n = params.n
-    out = np.eye(n)
-    cache: dict = {}
-    for lag in range(1, n):
-        for k in range(n - lag):
-            j = k + lag
-            if lag == 1:
-                value = float(params.gamma[k, j])
-            else:
-                row, u, col, defects = _entry_pieces(params.gamma, k, j, cache)
-                value = float(row @ u @ col + defects * params.gamma[k, j])
-            out[k, j] = out[j, k] = value
+    """Full correlation matrix from the parameters.
+
+    Row k is e1^T W_k times the walked columns: e1^T W_k holds the nested
+    entries gamma[k, j] * prod_{k<t<j} defect(gamma[k, t]).
+    """
+    gamma = params.gamma
+    out = np.eye(params.n)
+    for k, cols in _walk(gamma):
+        lead = np.empty(cols.shape[1])
+        prefix = 1.0
+        for q, g in enumerate(gamma[k, k + 1:]):
+            lead[q] = prefix * g
+            prefix *= defect(g)
+        out[k, k + 1:] = out[k + 1:, k] = lead @ cols[:-1]
     return out
 
 
-def extract_schur_params(matrix, defect_floor: float = DEFECT_FLOOR) -> SchurParams:
+def extract_schur_params(matrix) -> SchurParams:
     """Solve for the contraction parameters of a correlation matrix.
 
-    Works in order of increasing lag: each entry of R determines one new
-    parameter through
+    Row by row from the bottom, each entry of R determines one new parameter
+    through the walked column c_j (see :func:`_walk`):
 
-        gamma[k, j] = (R[k, j] - row * coupling * column) / defect product,
+        gamma[k, j] = (R[k, j] - lead[:q] . c_j[:q]) / (prefix * c_j[q]),
 
-    where every piece on the right involves smaller lags only.  When the
-    defect product drops below ``defect_floor`` the parameter is unresolvable
-    from the matrix; it is stored as zero and flagged degenerate rather than
-    amplified out of the data.
+    with q = j - k - 1, lead the nested row entries and prefix the product of
+    the row defects solved so far.  When that defect product drops below
+    ``DEFECT_FLOOR`` the parameter is unresolvable from the matrix; it is
+    stored as zero and flagged degenerate rather than amplified out of the
+    data.
 
     Parameters
     ----------
     matrix : CorrelationMatrix or array_like
         Unit-diagonal SPD matrix (arrays are taken as-is, no revalidation).
-    defect_floor : float
-        Smallest defect product considered safe to divide by.
 
     Raises
     ------
+    OutOfRange
+        The matrix holds a NaN or infinite entry.
     NotAContraction
         A solved parameter exceeds magnitude 1 + 1e-9, which means the input
         was not an admissible correlation matrix.
@@ -244,32 +233,33 @@ def extract_schur_params(matrix, defect_floor: float = DEFECT_FLOOR) -> SchurPar
     r = np.asarray(entries, dtype=float)
     if r.ndim != 2 or r.shape[0] != r.shape[1]:
         raise NotSquare(f"expected a square matrix, got shape {r.shape}")
+    if not np.isfinite(r).all():
+        raise OutOfRange("matrix entries must be finite")
     n = r.shape[0]
     gamma = np.zeros((n, n))
     boundary = np.zeros((n, n), dtype=bool)
     degenerate = np.zeros((n, n), dtype=bool)
-    cache: dict = {}
-    for lag in range(1, n):
-        for k in range(n - lag):
-            j = k + lag
-            if lag == 1:
-                value = r[k, j]
+    for k, cols in _walk(gamma):
+        lead = np.empty(cols.shape[1])
+        prefix = 1.0
+        for q in range(cols.shape[1]):
+            j = k + 1 + q
+            c = cols[:, q]
+            defects = prefix * c[q]
+            value = 0.0
+            if defects < DEFECT_FLOOR:
+                degenerate[k, j] = True
             else:
-                row, u, col, defects = _entry_pieces(gamma, k, j, cache)
-                if defects < defect_floor:
-                    degenerate[k, j] = True
-                    continue
-                value = (r[k, j] - float(row @ u @ col)) / defects
-            if abs(value) > 1.0 + CONTRACTION_SLACK:
-                raise NotAContraction(
-                    f"entry ({k}, {j}) solves to {value}, beyond the contraction range")
-            if abs(value) >= 1.0 - BOUNDARY_TOL:
-                value = np.copysign(1.0, value)
-                boundary[k, j] = True
+                value = (r[k, j] - lead[:q] @ c[:q]) / defects
+                if abs(value) > 1.0 + CONTRACTION_SLACK:
+                    raise NotAContraction(
+                        f"entry ({k}, {j}) solves to {value}, beyond the contraction range")
+                if abs(value) >= 1.0 - BOUNDARY_TOL:
+                    value = float(np.copysign(1.0, value))
+                    boundary[k, j] = True
             gamma[k, j] = value
-        # The cache keyed on index ranges stays valid across lags: a range
-        # (a, b) only ever reads parameters of lag <= b - a, which are final
-        # before any entry needing that range is solved.
+            lead[q] = prefix * value
+            prefix *= defect(value)
     for a in (gamma, boundary, degenerate):
         a.setflags(write=False)
     return SchurParams(gamma=gamma, boundary=boundary, degenerate=degenerate)
@@ -316,10 +306,8 @@ def build_dilation_sequence(params: SchurParams, dim: int,
     padded[:n, :n] = params.gamma
     mats = np.empty((count, dim, dim))
     for i in range(count):
-        w = np.eye(dim)
-        for l in range(1, dim):
-            w = w @ givens(padded[i, i + l], l - 1, dim)
-        mats[i] = w
+        mats[i] = np.eye(dim)
+        _rotate(mats[i], padded[i, i + 1:i + dim])
     mats.setflags(write=False)
     return DilationSequence(matrices=mats, dim=dim)
 

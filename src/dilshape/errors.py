@@ -46,10 +46,6 @@ class NotAContraction(DilshapeError):
     """A solved or supplied parameter exceeds magnitude one."""
 
 
-class DegenerateDefect(DilshapeError):
-    """A defect product fell below the floor that keeps division stable."""
-
-
 class BadPosition(DilshapeError):
     """Rotation block position does not fit inside the requested size."""
 

@@ -90,23 +90,37 @@ def save_realizations(path, data: RealizationSet, fmt: str | None = None) -> Non
         np.savetxt(path, data.samples, delimiter=",", fmt="%.17g")
 
 
+def _indexed(path, data: dict, key: str, n: int, width: int) -> list:
+    """Rows of ``data[key]`` as ((i, j), *values) with 0 <= i < j < n."""
+    try:
+        rows = [((int(i), int(j)), *map(float, rest)) for i, j, *rest in data.get(key, [])]
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: '{key}' entries are lists of {width} numbers") from exc
+    for (i, j), *rest in rows:
+        if len(rest) != width - 2 or not 0 <= i < j < n:
+            raise FormatError(f"{path}: '{key}' entry ({i}, {j}) is not a {width}-item "
+                              f"list inside the strict upper triangle of size {n}")
+    return rows
+
+
 def load_params(path) -> SchurParams:
     data = _read_json(path)
     if not isinstance(data, dict) or "n" not in data:
         raise FormatError(f"{path}: parameter files need an 'n' field")
-    n = int(data["n"])
-    gamma = np.zeros((n, n))
-    for item in data.get("gamma", []):
-        try:
-            i, j, value = item
-        except (TypeError, ValueError) as exc:
-            raise FormatError(f"{path}: gamma entries are [i, j, value] triples") from exc
-        i, j = int(i), int(j)
-        if not 0 <= i < j < n:
-            raise FormatError(f"{path}: index pair ({i}, {j}) outside the "
-                              f"strict upper triangle of size {n}")
-        gamma[i, j] = float(value)
-    return SchurParams.from_gamma(gamma)
+    try:
+        n = int(data["n"])
+        gamma = np.zeros((n, n))
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: 'n' must be a non-negative integer") from exc
+    for pair, value in _indexed(path, data, "gamma", n, 3):
+        gamma[pair] = value
+    params = SchurParams.from_gamma(gamma)
+    flags = {"boundary": params.boundary.copy(), "degenerate": params.degenerate.copy()}
+    for key, mask in flags.items():
+        for (pair,) in _indexed(path, data, key, n, 2):
+            mask[pair] = True
+        mask.setflags(write=False)
+    return SchurParams(gamma=params.gamma, **flags)
 
 
 def save_params(path, params: SchurParams) -> None:

@@ -133,6 +133,18 @@ class TestExitCodes:
         assert run("parcors", bad, "-o", tmp_path / "p.json") == 2
         assert "validation error" in capsys.readouterr().err
 
+    def test_non_finite_matrix(self, tmp_path, capsys):
+        bad = tmp_path / "nan.csv"
+        bad.write_text("1,0.5,nan\n0.5,1,0.5\nnan,0.5,1\n")
+        assert run("parcors", bad, "-o", tmp_path / "p.json") == 2
+        assert "validation error" in capsys.readouterr().err
+
+    def test_parameter_beyond_contraction(self, tmp_path, capsys):
+        params = tmp_path / "p.json"
+        params.write_text(json.dumps({"n": 3, "gamma": [[0, 1, 1.5]]}))
+        assert run("dilate", params, "--dim", 3, "-o", tmp_path / "c.json") == 2
+        assert "validation error" in capsys.readouterr().err
+
     def test_degenerate_distance(self, tmp_path):
         # A stationary matrix dilates to identical rotations, so its curve
         # never moves and the elastic comparison has nothing to align.

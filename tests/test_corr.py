@@ -29,6 +29,13 @@ class TestValidateSpd:
         m = corr.validate_spd(r)
         assert np.allclose(np.diag(m.entries), 1.0)
 
+    def test_rejects_non_finite(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            r = ar_matrix(0.5, 4)
+            r[1, 2] = r[2, 1] = bad
+            with pytest.raises(OutOfRange):
+                corr.validate_spd(r)
+
     def test_rejects_nonsquare(self):
         with pytest.raises(NotSquare):
             corr.validate_spd(np.ones((2, 3)))

@@ -73,6 +73,13 @@ class TestSchurParams:
         assert p.gamma[0, 1] == 0.5
         assert not p.degenerate.any()
 
+    def test_rejects_non_finite(self):
+        for bad in (np.nan, np.inf):
+            g = np.zeros((3, 3))
+            g[0, 2] = bad
+            with pytest.raises(OutOfRange):
+                SchurParams.from_gamma(g)
+
     def test_rejects_overshoot(self):
         g = np.zeros((3, 3))
         g[0, 1] = 1.5
@@ -134,6 +141,13 @@ class TestExtraction:
         assert p.degenerate[0, 2]
         assert p.gamma[0, 2] == 0.0
 
+    def test_non_finite_matrix_raises(self):
+        for bad in (np.nan, np.inf):
+            r = R4.copy()
+            r[0, 3] = r[3, 0] = bad
+            with pytest.raises(OutOfRange):
+                dilation.extract_schur_params(r)
+
     def test_inadmissible_matrix_raises(self):
         r = np.array([
             [1.0, 0.9, -0.9],
@@ -142,6 +156,69 @@ class TestExtraction:
         ])
         with pytest.raises(NotAContraction):
             dilation.extract_schur_params(r)
+
+
+def random_correlation(rng, n):
+    a = rng.standard_normal((n, 2 * n))
+    cov = a @ a.T
+    scale = 1.0 / np.sqrt(np.diag(cov))
+    return cov * np.outer(scale, scale)
+
+
+class TestWalk:
+    def test_parameters_match_inverse_reference(self):
+        # Independent reference: partial correlation from the precision
+        # matrix of the window k..j.
+        rng = np.random.default_rng(23)
+        for n in (2, 3, 5, 9, 16, 24):
+            r = random_correlation(rng, n)
+            p = dilation.extract_schur_params(r)
+            for k in range(n):
+                for j in range(k + 1, n):
+                    prec = np.linalg.inv(r[k:j + 1, k:j + 1])
+                    ref = -prec[0, -1] / np.sqrt(prec[0, 0] * prec[-1, -1])
+                    assert p.gamma[k, j] == pytest.approx(ref, abs=1e-9)
+            assert not p.degenerate.any() and not p.boundary.any()
+
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    def test_round_trip_pc_estimates(self, n):
+        from dilshape.corr import estimate_ensemble_correlation, gen_pc_process
+        data = gen_pc_process(0.6, 4, 0.5, n, seed=n, count=2 * n)
+        est = estimate_ensemble_correlation(data, n)
+        p = dilation.extract_schur_params(est)
+        assert not p.degenerate.any()
+        assert np.abs(dilation.reconstruct_matrix(p) - est.entries).max() < 1e-9
+
+    def test_boundary_entry_mid_matrix(self):
+        # gamma[2, 3] = -1 ties coordinate 3 to coordinate 2, so every
+        # parameter whose defect product passes through that entry is flagged.
+        rng = np.random.default_rng(5)
+        g = np.triu(rng.uniform(-0.5, 0.5, (6, 6)), 1)
+        g[2, 3] = -1.0
+        r = dilation.reconstruct_matrix(SchurParams.from_gamma(g))
+        assert np.isfinite(r).all()
+        p = dilation.extract_schur_params(r)
+        assert np.argwhere(p.boundary).tolist() == [[2, 3]]
+        assert np.argwhere(p.degenerate).tolist() == [[0, 3], [1, 3], [2, 4], [2, 5]]
+        assert (p.gamma[p.degenerate] == 0.0).all()
+        back = dilation.reconstruct_matrix(p)
+        assert np.isfinite(back).all()
+        assert np.abs(back - r).max() < 1e-9
+
+    @pytest.mark.parametrize("dim", [2, 4, 7])
+    @pytest.mark.parametrize("full", [False, True])
+    def test_sequence_matches_givens_products(self, dim, full):
+        rng = np.random.default_rng(dim)
+        n = 7
+        g = np.triu(rng.uniform(-0.9, 0.9, (n, n)), 1)
+        seq = dilation.build_dilation_sequence(SchurParams.from_gamma(g), dim, full=full)
+        padded = np.zeros((n + dim, n + dim))
+        padded[:n, :n] = g
+        for i, w in enumerate(seq.matrices):
+            ref = np.eye(dim)
+            for l in range(1, dim):
+                ref = ref @ dilation.givens(padded[i, i + l], l - 1, dim)
+            assert np.abs(w - ref).max() < 1e-14
 
 
 class TestDilationSequence:
