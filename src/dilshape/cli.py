@@ -77,6 +77,10 @@ def cmd_parcors(args) -> int:
 
 def cmd_dilate(args) -> int:
     params = io.load_params(args.params)
+    flagged = int(params.degenerate.sum())
+    if flagged:
+        raise SingularStep(f"{flagged} parameters are flagged degenerate; their "
+                           "values are unresolved, so no dilation is built")
     seq = dilation.build_dilation_sequence(params, args.dim, full=args.full)
     if args.sequence_out:
         io.save_sequence(args.sequence_out, seq)

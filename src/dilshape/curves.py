@@ -15,8 +15,8 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .dilation import DilationSequence
-from .errors import GridMismatch, WrongComponent
-from .liegroup import ensure_rotation, exp_group, inner, log_group, norm
+from .errors import GridMismatch, NotOrthogonal, OutOfRange, WrongComponent
+from .liegroup import ORTHOGONALITY_TOL, exp_group, inner, log_group, norm
 
 CLOSURE_TOL = 1e-8
 
@@ -35,10 +35,14 @@ class ManifoldCurve:
             raise GridMismatch(f"expected shape (samples, d, d), got {p.shape}")
         if p.shape[0] < 1:
             raise GridMismatch("a curve needs at least one sample")
-        for x in p:
-            ensure_rotation(x)
-            if np.linalg.det(x) < 0.0:
-                raise WrongComponent("curve points must have determinant +1")
+        if not np.isfinite(p).all() or (
+                self.base is not None and not np.isfinite(self.base).all()):
+            raise OutOfRange("curve points and base must be finite")
+        residual = np.abs(p @ p.transpose(0, 2, 1) - np.eye(p.shape[1])).max()
+        if float(residual) > ORTHOGONALITY_TOL:
+            raise NotOrthogonal("matrix is not orthogonal within tolerance")
+        if (np.linalg.det(p) < 0.0).any():
+            raise WrongComponent("curve points must have determinant +1")
 
     @property
     def dim(self) -> int:

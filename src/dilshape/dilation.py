@@ -276,10 +276,11 @@ class DilationSequence:
         m = self.matrices
         if m.ndim != 3 or m.shape[1] != self.dim or m.shape[2] != self.dim:
             raise BadDim(f"expected shape (count, {self.dim}, {self.dim}), got {m.shape}")
-        eye = np.eye(self.dim)
-        for w in m:
-            if float(np.abs(w @ w.T - eye).max()) > 1e-10:
-                raise OutOfRange("sequence entries must be orthogonal")
+        if not np.isfinite(m).all():
+            raise OutOfRange("sequence entries must be finite")
+        residual = np.abs(m @ m.transpose(0, 2, 1) - np.eye(self.dim))
+        if m.size and float(residual.max()) > 1e-10:
+            raise OutOfRange("sequence entries must be orthogonal")
 
     @property
     def count(self) -> int:

@@ -4,8 +4,10 @@ The transported square-root-velocity transform maps a curve to the flat
 sequence q_k = v_k / sqrt(|v_k|) of normalized right-trivialized velocities.
 In these coordinates geodesics between curves are straight lines, the curve
 distance is the L2 gap, and reparametrization acts as
-q -> (q o phi) sqrt(phi'), which a dynamic program over monotone lattice
-paths can minimize to give a parametrization-blind shape distance.
+q -> (q o phi) sqrt(phi').  The shape distance minimizes the gap over
+increasing warps in two stages (Srivastava & Klassen 2016, ch. 4): a dynamic
+program over monotone lattice paths finds the global warp, and a
+gradient search (L-BFGS-B over the warp's log-slopes) refines it.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import Bounds, minimize
 
 from .curves import ManifoldCurve, srv_values
 from .errors import (
@@ -31,21 +34,12 @@ KARCHER_TOL = 1e-8
 # The unit diagonal comes first so exact ties resolve to the identity warp.
 DP_STEPS = ((1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2), (2, 2), (3, 3))
 
-# Denser slopes around one for correction passes, where the leftover warp
-# is near the identity and coarse steps over- or undershoot it.
-FINE_STEPS = ((1, 1),) + tuple(
-    (a, b)
-    for a in range(1, 9)
-    for b in range(1, 9)
-    if (a, b) != (1, 1) and np.gcd(a, b) == 1 and 0.5 <= b / a <= 2.0
-)
-
-# Ladder of slopes approaching unity for the last correction level.  A
-# lattice excursion of amplitude d costs about d (sqrt(1 + 1/a) - 1)^2 a
-# per side, which falls off as 1 / a, so long near-diagonal steps let the
-# search cancel path deviations too small for the coarser slope sets.
-NEAR_STEPS = ((1, 1), (7, 8), (8, 7), (11, 12), (12, 11),
-              (15, 16), (16, 15), (23, 24), (24, 23))
+# Warp refinement: log-slopes on REFINE_CELLS times the lattice cells,
+# bounded to +-LOG_SLOPE_BOUND so that no slope underflows, minimized until
+# an iteration changes the cost by less than REFINE_FTOL times max(cost, 1).
+REFINE_CELLS = 6
+LOG_SLOPE_BOUND = 2.0
+REFINE_FTOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -54,7 +48,6 @@ class TsrvCurve:
 
     start: np.ndarray
     values: np.ndarray
-    degenerate: np.ndarray
 
     @property
     def segments(self) -> int:
@@ -91,6 +84,13 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _floored(q: np.ndarray) -> np.ndarray:
+    """Frozen copy of q values with every segment below Q_FLOOR set to zero."""
+    q = np.array(q, dtype=float)
+    q[np.sqrt(np.einsum("kij,kij->k", q, q)) < Q_FLOOR] = 0.0
+    return _frozen(q)
+
+
 def tsrv(curve: ManifoldCurve, q_floor: float = Q_FLOOR) -> TsrvCurve:
     """Transform a curve to flat coordinates.
 
@@ -104,9 +104,7 @@ def tsrv(curve: ManifoldCurve, q_floor: float = Q_FLOOR) -> TsrvCurve:
     if bad.any():
         raise VanishingVelocity(
             f"{int(bad.sum())} of {q.shape[0]} segments below q_floor {q_floor:g}")
-    flags = np.zeros(q.shape[0], dtype=bool)
-    flags.setflags(write=False)
-    return TsrvCurve(start=_frozen(curve.points[0]), values=_frozen(q), degenerate=flags)
+    return TsrvCurve(start=_frozen(curve.points[0]), values=_frozen(q))
 
 
 def tsrv_inverse(t: TsrvCurve) -> ManifoldCurve:
@@ -152,20 +150,21 @@ def geodesic_between(c0: ManifoldCurve, c1: ManifoldCurve, s: float) -> Manifold
     """Point at parameter s on the geodesic of curves from c0 to c1.
 
     Interpolates linearly in flat coordinates and integrates back.
-    Interpolated segments whose q norm collapses below the floor are flagged
-    degenerate and contribute no motion instead of failing.
+    Interpolated segments whose q norm collapses below the floor contribute
+    no motion instead of failing.
     """
     _check_comparable(c0, c1, need_same_grid=True)
     q0 = tsrv(c0)
     q1 = tsrv(c1)
     mix = (1.0 - s) * q0.values + s * q1.values
-    flags = np.array([norm(m) < Q_FLOOR for m in mix])
-    mix = mix.copy()
-    mix[flags] = 0.0
-    flags.setflags(write=False)
-    eye = np.eye(c0.dim)
-    combined = TsrvCurve(start=_frozen(eye), values=_frozen(mix), degenerate=flags)
-    return tsrv_inverse(combined)
+    return tsrv_inverse(TsrvCurve(start=_frozen(np.eye(c0.dim)), values=_floored(mix)))
+
+
+def _pl_index(n: int, positions: np.ndarray):
+    """Left midpoint index and weight of each position, flat past the ends."""
+    x = np.clip(positions * n - 0.5, 0.0, n - 1.0)
+    k = np.minimum(x.astype(np.intp), max(n - 2, 0))
+    return k, x - k
 
 
 def _pl_at(q: np.ndarray, positions: np.ndarray) -> np.ndarray:
@@ -176,17 +175,13 @@ def _pl_at(q: np.ndarray, positions: np.ndarray) -> np.ndarray:
     application uses, so search and evaluation agree.
     """
     n = q.shape[0]
-    mids = (np.arange(n) + 0.5) / n
     flat = q.reshape(n, -1)
-    out = np.empty((positions.size, flat.shape[1]))
-    for col in range(flat.shape[1]):
-        out[:, col] = np.interp(positions, mids, flat[:, col])
-    return out
+    k, w = _pl_index(n, positions)
+    lo = flat[k]
+    return lo + w[:, None] * (flat[np.minimum(k + 1, n - 1)] - lo)
 
 
-def _dp_align(q0: np.ndarray, q1: np.ndarray, grid: int,
-              base: np.ndarray | None = None, steps=DP_STEPS,
-              band: int | None = None):
+def _dp_align(q0: np.ndarray, q1: np.ndarray, grid: int):
     """Minimal warped q-gap over monotone lattice paths.
 
     Lattice nodes (i, j) represent (t, phi) = (i, j) / G where G is the
@@ -195,77 +190,44 @@ def _dp_align(q0: np.ndarray, q1: np.ndarray, grid: int,
     distance.  Edges advance by DP_STEPS; the cost of an edge of slope
     sigma = b / a integrates |q0(t) - q1(phi(t)) sqrt(sigma)|^2 with the
     midpoint rule on the G sub-intervals it spans, reading both sequences
-    through the piecewise-linear rule.  With ``base``, q1 is read through
-    that warp first (values composed, slope factor folded in), which turns
-    a second run into a correction of an earlier alignment; ``band`` then
-    restricts nodes to |j - i| <= band, ample for corrections, which stay
-    near the diagonal.  Returns (squared gap, warp nodes).
+    through the piecewise-linear rule.  Returns (squared gap, warp nodes).
     """
     n0 = q0.shape[0]
     g = n0 * int(np.ceil(grid / n0))
-    cellmids = (np.arange(g) + 0.5) / g
-    p0 = _pl_at(q0, cellmids)
+    p0 = _pl_at(q0, (np.arange(g) + 0.5) / g)
     a0 = np.einsum("md,md->m", p0, p0)
-
-    if base is None:
-        def read_q1(positions):
-            return _pl_at(q1, positions)
-    else:
-        base_grid = np.linspace(0.0, 1.0, base.size)
-        base_slopes = np.maximum(np.diff(base) * (base.size - 1), 0.0)
-
-        def read_q1(positions):
-            mapped = np.interp(positions, base_grid, base)
-            cells = np.clip((positions * (base.size - 1)).astype(int),
-                            0, base.size - 2)
-            return _pl_at(q1, mapped) * np.sqrt(base_slopes[cells])[:, None]
-
-    # q1 reads depend on (step, cell offset) only through a uniform shift,
-    # so each pair gets one table of g + 1 interpolated rows.
-    v_tab = []
-    b_tab = []
-    for a, b in steps:
+    # Edge costs of every start node, one table per step: the q1 reads of
+    # sub-interval r sit on the node grid shifted by sigma (r + 1/2), so each
+    # sub-interval adds one matrix product against the t-side reads.
+    tables = []
+    for a, b in DP_STEPS:
+        if a > g or b > g:
+            tables.append(None)
+            continue
         sigma = b / a
-        vs = []
-        bs = []
+        rows = g - a + 1
+        cost = np.zeros((rows, g - b + 1))
         for r in range(a):
-            positions = np.minimum((np.arange(g + 1) + sigma * (r + 0.5)) / g, 1.0)
-            v = read_q1(positions)
-            vs.append(v)
-            bs.append(np.einsum("md,md->m", v, v))
-        v_tab.append(vs)
-        b_tab.append(bs)
-    inf = float("inf")
-    dist = np.full((g + 1, g + 1), inf)
+            shifted = (np.arange(g - b + 1) + sigma * (r + 0.5)) / g
+            v = _pl_at(q1, np.minimum(shifted, 1.0))
+            cost += (a0[r:r + rows, None]
+                     - 2.0 * np.sqrt(sigma) * (p0[r:r + rows] @ v.T)
+                     + sigma * np.einsum("md,md->m", v, v))
+        tables.append(cost / g)
+    dist = np.full((g + 1, g + 1), np.inf)
     dist[0, 0] = 0.0
     choice = np.full((g + 1, g + 1), -1, dtype=np.int8)
+    better = np.empty(g + 1, dtype=bool)
     for i2 in range(1, g + 1):
         row = dist[i2]
-        for step_idx, (a, b) in enumerate(steps):
+        for step_idx, ((a, b), cost) in enumerate(zip(DP_STEPS, tables)):
             i1 = i2 - a
-            if i1 < 0 or b > g:
+            if i1 < 0 or cost is None:
                 continue
-            j_lo, j_hi = 0, g - b
-            if band is not None:
-                j_lo = max(j_lo, i1 - band)
-                j_hi = min(j_hi, i1 + band)
-            if j_hi < j_lo:
-                continue
-            sigma = b / a
-            root = np.sqrt(sigma)
-            j1s = np.arange(j_lo, j_hi + 1)
-            cost = np.zeros(j1s.size)
-            for r in range(a):
-                v = v_tab[step_idx][r]
-                cost += (a0[i1 + r]
-                         - 2.0 * root * (v[j1s] @ p0[i1 + r])
-                         + sigma * b_tab[step_idx][r][j1s])
-            cand = dist[i1, j1s] + cost / g
-            j2s = j1s + b
-            better = cand < row[j2s]
-            if better.any():
-                row[j2s[better]] = cand[better]
-                choice[i2, j2s[better]] = step_idx
+            cand = dist[i1, :g - b + 1] + cost[i1]
+            mask = np.less(cand, row[b:], out=better[:g - b + 1])
+            np.copyto(row[b:], cand, where=mask)
+            np.copyto(choice[i2, b:], step_idx, where=mask)
     if not np.isfinite(dist[g, g]):
         raise GridMismatch("no admissible lattice path; grid too coarse")
     # Trace the winning path back and fill phi at every t node.
@@ -273,7 +235,7 @@ def _dp_align(q0: np.ndarray, q1: np.ndarray, grid: int,
     i, j = g, g
     phi_nodes[g] = 1.0
     while i > 0:
-        a, b = steps[choice[i, j]]
+        a, b = DP_STEPS[choice[i, j]]
         pi, pj = i - a, j - b
         for t in range(pi, i):
             phi_nodes[t] = (pj + (b / a) * (t - pi)) / g
@@ -288,8 +250,7 @@ def _eval_warp_cost(q0: np.ndarray, q1: np.ndarray, phi_nodes: np.ndarray) -> fl
     search, so evaluating a DP path reproduces its DP cost to roundoff.
     """
     g = phi_nodes.size - 1
-    cellmids = (np.arange(g) + 0.5) / g
-    p0 = _pl_at(q0, cellmids)
+    p0 = _pl_at(q0, (np.arange(g) + 0.5) / g)
     phi_mid = 0.5 * (phi_nodes[:-1] + phi_nodes[1:])
     p1 = _pl_at(q1, phi_mid)
     sigma = np.maximum(np.diff(phi_nodes) * g, 0.0)
@@ -297,72 +258,78 @@ def _eval_warp_cost(q0: np.ndarray, q1: np.ndarray, phi_nodes: np.ndarray) -> fl
     return max(float(np.einsum("md,md->m", gap, gap).mean()), 0.0)
 
 
-def _smooth_warp(phi_nodes: np.ndarray, halfwidth: int) -> np.ndarray:
-    """Soften the slope quantization of a lattice path.
+def _slope_warp(u: np.ndarray):
+    """Slopes phi' = softmax(u) * cells and the warp nodes they integrate to."""
+    cells = u.size
+    e = np.exp(u - u.max())
+    s = e * (cells / e.sum())
+    phi = np.concatenate(([0.0], np.cumsum(s) / cells))
+    phi[-1] = 1.0
+    return s, np.minimum(phi, 1.0)
 
-    Two moving-average passes with antisymmetric extension beyond the
-    endpoints, which keeps phi(0) = 0, phi(1) = 1 and monotonicity while
-    averaging the discrete slope levels toward the underlying smooth warp.
+
+def _slope_cost(u: np.ndarray, p0: np.ndarray, q1: np.ndarray):
+    """The warp cost of log-slopes u and its gradient in u.
+
+    ``p0`` holds the q0 reads at the cell midpoints.  The cost is the
+    :func:`_eval_warp_cost` rule; its gradient has a term through each
+    cell's slope and one through its midpoint phi_mid, where the q1 read has
+    the piecewise-constant slope of the linear rule (zero past the ends).
     """
-    g = phi_nodes.size - 1
-    h = min(halfwidth, g)
-    if h < 1:
-        return phi_nodes.copy()
-    out = phi_nodes
-    kernel = np.full(2 * h + 1, 1.0 / (2 * h + 1))
-    for _ in range(2):
-        padded = np.concatenate([-out[h:0:-1], out, 2.0 - out[-2:-h - 2:-1]])
-        out = np.convolve(padded, kernel, mode="valid")
-    out[0] = 0.0
-    out[-1] = 1.0
-    return np.maximum.accumulate(np.clip(out, 0.0, 1.0))
+    cells = u.size
+    s, phi = _slope_warp(u)
+    mid = 0.5 * (phi[:-1] + phi[1:])
+    n1 = q1.shape[0]
+    flat = q1.reshape(n1, -1)
+    k, w = _pl_index(n1, mid)
+    lo = flat[k]
+    delta = flat[np.minimum(k + 1, n1 - 1)] - lo
+    p1 = lo + w[:, None] * delta
+    root = np.sqrt(s)
+    gap = p0 - root[:, None] * p1
+    cost = float(np.einsum("md,md->m", gap, gap).mean())
+    x = mid * n1 - 0.5
+    inside = (x > 0.0) & (x < n1 - 1.0)
+    d_mid = (-2.0 * n1 / cells) * inside * root * np.einsum("md,md->m", gap, delta)
+    d_s = (np.einsum("md,md->m", p1, p1)
+           - np.einsum("md,md->m", p0, p1) / root) / cells
+    # phi_mid of cell m moves with every slope before it and half its own.
+    d_s += (np.cumsum(d_mid[::-1])[::-1] - 0.5 * d_mid) / cells
+    return cost, s * (d_s - (s @ d_s) / cells)
+
+
+def _refine(p0: np.ndarray, q1: np.ndarray, phi_nodes: np.ndarray) -> np.ndarray:
+    """Gradient refinement of a warp over bounded log-slopes (L-BFGS-B)."""
+    cells = phi_nodes.size - 1
+    u0 = np.clip(np.log(np.diff(phi_nodes) * cells),
+                 -LOG_SLOPE_BOUND, LOG_SLOPE_BOUND)
+    res = minimize(_slope_cost, u0, args=(p0, q1), jac=True, method="L-BFGS-B",
+                   bounds=Bounds(-LOG_SLOPE_BOUND, LOG_SLOPE_BOUND),
+                   options={"ftol": REFINE_FTOL, "gtol": 0.0})
+    return _slope_warp(res.x)[1]
 
 
 def _aligned(q0: np.ndarray, q1: np.ndarray, grid: int):
-    """Best warp from iterated lattice searches with smoothing.
+    """Best warp: the lattice search, then one gradient refinement of it.
 
-    The documented lattice search provides the global alignment; its path
-    carries slope quantization noise, so each round smooths it at a few
-    window widths and reruns the search, at a finer lattice with a denser
-    near-unit slope set, against the warp found so far: the leftover warp
-    sits near the identity where those corrections are cheap.  All
-    candidates, the identity included, are scored by the common evaluation
-    rule on one fine node grid and the lowest wins, so the result never
-    exceeds the plain curve gap.
+    The lattice path of :func:`_dp_align` gives the global alignment.  It is
+    lifted to REFINE_CELLS times as many cells, and L-BFGS-B moves its
+    log-slopes to a nearby minimum of the same evaluation rule, which removes
+    the slope quantization of the lattice.  The identity, the lifted lattice
+    path and the refined path are scored by that rule on the fine nodes and
+    the lowest wins (ties to the earlier), so the result never exceeds the
+    plain curve gap.
     """
-    sq_raw, phi_raw = _dp_align(q0, q1, grid)
-    g = phi_raw.size - 1
-    gf = 6 * g
-    fine_nodes = np.linspace(0.0, 1.0, gf + 1)
-
-    def lift(phi):
-        return np.interp(fine_nodes, np.linspace(0.0, 1.0, phi.size), phi)
-
-    windows = sorted({max(2, gf // 200), max(3, gf // 100),
-                      gf // 50, gf // 24, gf // 12})
-    sq_best, phi_best = _eval_warp_cost(q0, q1, fine_nodes), fine_nodes
-    candidates = [lift(phi_raw)]
-    candidates += [_smooth_warp(candidates[0], h) for h in windows]
-    for cand in candidates:
+    _, phi_dp = _dp_align(q0, q1, grid)
+    cells = REFINE_CELLS * (phi_dp.size - 1)
+    nodes = np.linspace(0.0, 1.0, cells + 1)
+    phi_dp = np.interp(nodes, np.linspace(0.0, 1.0, phi_dp.size), phi_dp)
+    p0 = _pl_at(q0, (np.arange(cells) + 0.5) / cells)
+    sq_best, phi_best = _eval_warp_cost(q0, q1, nodes), nodes
+    for cand in (phi_dp, _refine(p0, q1, phi_dp)):
         sq = _eval_warp_cost(q0, q1, cand)
         if sq < sq_best:
             sq_best, phi_best = sq, cand
-    for lattice, steps, passes in ((3 * g, FINE_STEPS, 2), (3 * g, NEAR_STEPS, 4)):
-        for _ in range(passes):
-            improved = False
-            _, correction = _dp_align(q0, q1, lattice, base=phi_best,
-                                      steps=steps, band=max(40, lattice // 10))
-            correction = lift(correction)
-            for h in (0, *windows):
-                smoothed = correction if h == 0 else _smooth_warp(correction, h)
-                composed = np.interp(smoothed, fine_nodes, phi_best)
-                for cand in (composed, _smooth_warp(composed, windows[0])):
-                    sq = _eval_warp_cost(q0, q1, cand)
-                    if sq < sq_best * (1.0 - 1e-6):
-                        sq_best, phi_best = sq, cand
-                        improved = True
-            if not improved:
-                break
     return sq_best, phi_best
 
 
@@ -378,8 +345,10 @@ def shape_distance(c0: ManifoldCurve, c1: ManifoldCurve,
     """Reparametrization-minimized distance and the optimizing warp.
 
     The warp applies to c1: the returned phi minimizes the flat-coordinate
-    gap between q0 and (q1 o phi) sqrt(phi') over monotone piecewise-linear
-    lattice paths with slopes between 1/3 and 3, refined by slope smoothing.
+    gap between q0 and (q1 o phi) sqrt(phi'): the lattice search over
+    monotone paths with slopes between 1/3 and 3 gives the global warp, and
+    a gradient search over piecewise-linear warps on six times as many cells
+    refines it.  The warp has 6 G + 1 nodes, G the lattice size.
     """
     _check_comparable(c0, c1, need_same_grid=False)
     if grid < max(c0.segments, c1.segments):
@@ -468,9 +437,4 @@ def karcher_mean(curves: list[ManifoldCurve], iters: int = 24,
             qbar = new
             if delta < tol:
                 break
-    flags = np.array([norm(m) < Q_FLOOR for m in qbar])
-    qbar = qbar.copy()
-    qbar[flags] = 0.0
-    flags.setflags(write=False)
-    mean = TsrvCurve(start=_frozen(np.eye(d)), values=_frozen(qbar), degenerate=flags)
-    return tsrv_inverse(mean)
+    return tsrv_inverse(TsrvCurve(start=_frozen(np.eye(d)), values=_floored(qbar)))

@@ -156,6 +156,22 @@ class TestExitCodes:
         run("dilate", params, "--dim", 4, "-o", curve)
         assert run("dist", curve, curve) == 3
 
+    def test_non_finite_curve(self, tmp_path, capsys):
+        curve = tmp_path / "nan.json"
+        curve.write_text(json.dumps({"dim": 3, "closed": False,
+                                     "points": [[[float("nan")] * 3] * 3] * 4}))
+        assert run("dist", curve, curve) == 2
+        assert "validation error" in capsys.readouterr().err
+
+    def test_dilate_refuses_degenerate_flags(self, tmp_path, capsys):
+        params = tmp_path / "p.json"
+        params.write_text(json.dumps({"n": 3, "gamma": [[0, 1, 1.0], [1, 2, 0.3]],
+                                      "boundary": [[0, 1]], "degenerate": [[0, 2]]}))
+        out = tmp_path / "c.json"
+        assert run("dilate", params, "--dim", 3, "--full", "-o", out) == 3
+        assert "degeneracy" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_window_violation(self, tmp_path, capsys):
         mat = tmp_path / "ar.json"
         run("gen", "ar", "--size", 8, "-o", mat)

@@ -5,7 +5,7 @@ from scipy.linalg import expm
 from conftest import random_rotation, smooth_curve, smooth_point, stepped_curve
 from dilshape import curves, dilation
 from dilshape.curves import ManifoldCurve
-from dilshape.errors import GridMismatch, NotOrthogonal, WrongComponent
+from dilshape.errors import GridMismatch, NotOrthogonal, OutOfRange, WrongComponent
 from dilshape.liegroup import geodesic_distance, norm
 
 
@@ -23,6 +23,13 @@ class TestConstruction:
         pts = np.stack([np.eye(3), np.diag([1.0, 1.0, -1.0])])
         with pytest.raises((WrongComponent, NotOrthogonal)):
             ManifoldCurve(points=pts)
+
+    def test_rejects_non_finite_points(self):
+        pts = np.stack([np.eye(3), np.full((3, 3), np.nan)])
+        with pytest.raises(OutOfRange):
+            ManifoldCurve(points=pts)
+        with pytest.raises(OutOfRange):
+            dilation.DilationSequence(matrices=pts, dim=3)
 
     def test_rejects_bad_shape(self):
         with pytest.raises(GridMismatch):

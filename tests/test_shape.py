@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from conftest import exhaustive_lattice_min, smooth_curve, stepped_curve
@@ -182,6 +184,58 @@ class TestLatticeSearchMatchesExhaustive:
             ref = exhaustive_lattice_min(q0, q1, n, DP_STEPS)
             assert sq == pytest.approx(ref, abs=1e-12)
             assert shape._eval_warp_cost(q0, q1, path) == pytest.approx(sq, abs=1e-12)
+
+    def test_matches_for_unequal_segment_counts(self):
+        rng = np.random.default_rng(21)
+        q0 = tsrv(stepped_curve(rng, 4, 3)).values
+        q1 = tsrv(stepped_curve(rng, 6, 3)).values
+        sq, path = shape._dp_align(q0, q1, 8)
+        ref = exhaustive_lattice_min(q0, q1, 8, DP_STEPS)
+        assert sq == pytest.approx(ref, abs=1e-12)
+        assert shape._eval_warp_cost(q0, q1, path) == pytest.approx(sq, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_piecewise_linear_read_matches_interp(self, n):
+        rng = np.random.default_rng(22 + n)
+        q = rng.standard_normal((n, 3, 3))
+        positions = np.concatenate([rng.uniform(-0.5, 1.5, 200), [0.0, 1.0]])
+        mids = (np.arange(n) + 0.5) / n
+        flat = q.reshape(n, -1)
+        ref = np.stack([np.interp(positions, mids, flat[:, c])
+                        for c in range(flat.shape[1])], axis=1)
+        assert np.abs(shape._pl_at(q, positions) - ref).max() < 1e-14
+
+
+class TestRefinement:
+    def test_gradient_matches_central_differences(self):
+        rng = np.random.default_rng(23)
+        for n0, n1, d, cells in ((5, 7, 3, 30), (8, 4, 2, 24), (3, 9, 4, 42)):
+            q0 = tsrv(stepped_curve(rng, n0, d)).values
+            q1 = tsrv(stepped_curve(rng, n1, d)).values
+            p0 = shape._pl_at(q0, (np.arange(cells) + 0.5) / cells)
+            u = rng.uniform(-1.5, 1.5, cells)
+            cost, grad = shape._slope_cost(u, p0, q1)
+            assert cost == pytest.approx(
+                shape._eval_warp_cost(q0, q1, shape._slope_warp(u)[1]), abs=1e-12)
+            h = 1e-6
+            fd = np.array([(shape._slope_cost(u + h * e, p0, q1)[0]
+                            - shape._slope_cost(u - h * e, p0, q1)[0]) / (2.0 * h)
+                           for e in np.eye(cells)])
+            assert np.abs(grad - fd).max() <= 1e-5 * np.abs(fd).max()
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 16),
+           d=st.sampled_from([2, 3, 4]))
+    def test_bounds_and_warp_on_random_curves(self, seed, n, d):
+        rng = np.random.default_rng(seed)
+        c0, c1 = stepped_curve(rng, n, d), stepped_curve(rng, n, d)
+        dist, phi = shape_distance(c0, c1, grid=2 * n)
+        assert 0.0 <= dist <= curve_distance(c0, c1) + 1e-12
+        # A valid warp (checked on construction) on the 6 G + 1 refinement nodes.
+        assert isinstance(phi, Reparametrization)
+        assert phi.values.size == 6 * 2 * n + 1
+        self_dist, _ = shape_distance(c0, c0, grid=2 * n)
+        assert self_dist < 1e-12
 
 
 class TestPlaneRotationClosedForms:
