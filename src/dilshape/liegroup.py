@@ -10,7 +10,7 @@ formulas as everything else.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import expm, schur
+from scipy.linalg import expm
 
 from .errors import (
     DimMismatch,
@@ -28,9 +28,9 @@ TANGENT_TOL = 1e-8
 
 
 def project_skew(m) -> np.ndarray:
-    """Skew part (m - m^T) / 2."""
+    """Skew part (m - m^T) / 2 of a matrix or of each matrix in a stack."""
     m = np.asarray(m, dtype=float)
-    return 0.5 * (m - m.T)
+    return 0.5 * (m - np.swapaxes(m, -1, -2))
 
 
 def ensure_skew(m, tol: float = SKEW_TOL) -> np.ndarray:
@@ -44,10 +44,12 @@ def ensure_skew(m, tol: float = SKEW_TOL) -> np.ndarray:
 
 
 def ensure_rotation(g, tol: float = ORTHOGONALITY_TOL) -> np.ndarray:
+    """Check that g, or every matrix of a stack (..., d, d), is orthogonal."""
     g = np.asarray(g, dtype=float)
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
+    if g.ndim < 2 or g.shape[-1] != g.shape[-2]:
         raise DimMismatch(f"expected a square matrix, got shape {g.shape}")
-    if float(np.abs(g @ g.T - np.eye(g.shape[0])).max()) > tol:
+    residual = np.abs(g @ np.swapaxes(g, -1, -2) - np.eye(g.shape[-1]))
+    if float(residual.max(initial=0.0)) > tol:
         raise NotOrthogonal("matrix is not orthogonal within tolerance")
     return g
 
@@ -63,11 +65,14 @@ def exp_group(omega) -> np.ndarray:
 
 
 def log_group(g, cut_margin: float = CUT_MARGIN) -> np.ndarray:
-    """Principal logarithm of a rotation, skew-symmetric with angles below pi.
+    """Principal logarithm of a rotation, or of each rotation in a stack.
 
-    Uses the real Schur form: an orthogonal matrix decomposes into planar
-    rotation blocks and +-1 fixed directions, each with an unambiguous log
-    as long as no rotation angle reaches pi.
+    The symmetric part C = (g + g^T) / 2 and the skew part S = (g - g^T) / 2
+    of an orthogonal g commute: on each rotation plane C is cos(theta) and S
+    is sin(theta) times the plane's unit generator.  So log g = S f(C) with
+    f(cos theta) = theta / sin(theta), which is smooth in C (f = 1 at
+    theta = 0) and is evaluated through one eigendecomposition of C per
+    matrix, however the angles repeat.
 
     Raises
     ------
@@ -78,27 +83,21 @@ def log_group(g, cut_margin: float = CUT_MARGIN) -> np.ndarray:
         branch becomes unstable.
     """
     g = ensure_rotation(g)
-    if component_sign(g) < 0:
+    if (np.linalg.det(g) < 0.0).any():
         raise WrongComponent("determinant is -1")
-    t, z = schur(g, output="real")
-    n = g.shape[0]
-    log_t = np.zeros((n, n))
-    i = 0
-    while i < n:
-        if i + 1 < n and abs(t[i + 1, i]) > 1e-12:
-            theta = np.arctan2(t[i + 1, i], t[i, i])
-            if abs(theta) >= np.pi - cut_margin:
-                raise NearCutLocus(f"rotation angle {abs(theta):.9f} within "
-                                   f"{cut_margin:g} of pi")
-            log_t[i, i + 1] = -theta
-            log_t[i + 1, i] = theta
-            i += 2
-        else:
-            # Orthogonal fixed directions carry +-1; -1 means an angle of pi.
-            if t[i, i] < 0.0:
-                raise NearCutLocus("eigenvalue -1: rotation angle is pi")
-            i += 1
-    return project_skew(z @ log_t @ z.T)
+    gt = np.swapaxes(g, -1, -2)
+    cos, vecs = np.linalg.eigh(0.5 * (g + gt))
+    # S v = sin(theta) u with u a unit vector of v's plane; taking sin(theta)
+    # from S itself keeps S f(C) accurate near pi, where cos(theta) is not.
+    sv = 0.5 * (g - gt) @ vecs
+    sin = np.sqrt(np.einsum("...ij,...ij->...j", sv, sv))
+    theta = np.arctan2(sin, cos)
+    worst = float(theta.max(initial=0.0))
+    if worst >= np.pi - cut_margin:
+        raise NearCutLocus(f"rotation angle {worst:.9f} within "
+                           f"{cut_margin:g} of pi")
+    f = np.divide(theta, sin, out=np.ones_like(theta), where=sin > 0.0)
+    return project_skew((sv * f[..., None, :]) @ np.swapaxes(vecs, -1, -2))
 
 
 def inner(a, b) -> float:

@@ -195,39 +195,40 @@ def _dp_align(q0: np.ndarray, q1: np.ndarray, grid: int):
     n0 = q0.shape[0]
     g = n0 * int(np.ceil(grid / n0))
     p0 = _pl_at(q0, (np.arange(g) + 0.5) / g)
-    a0 = np.einsum("md,md->m", p0, p0)
     # Edge costs of every start node, one table per step: the q1 reads of
-    # sub-interval r sit on the node grid shifted by sigma (r + 1/2), so each
-    # sub-interval adds one matrix product against the t-side reads.
+    # sub-interval r sit on the node grid shifted by sigma (r + 1/2).  With
+    # the reads of all a sub-intervals laid side by side on both sides, an
+    # edge's cost is one squared gap |p - sqrt(sigma) v|^2 / g, and the cross
+    # terms of all edges of a step come from one matrix product.
     tables = []
     for a, b in DP_STEPS:
         if a > g or b > g:
             tables.append(None)
             continue
         sigma = b / a
-        rows = g - a + 1
-        cost = np.zeros((rows, g - b + 1))
-        for r in range(a):
-            shifted = (np.arange(g - b + 1) + sigma * (r + 0.5)) / g
-            v = _pl_at(q1, np.minimum(shifted, 1.0))
-            cost += (a0[r:r + rows, None]
-                     - 2.0 * np.sqrt(sigma) * (p0[r:r + rows] @ v.T)
-                     + sigma * np.einsum("md,md->m", v, v))
-        tables.append(cost / g)
+        rows, cols = g - a + 1, g - b + 1
+        shifted = (np.arange(cols) + sigma * (np.arange(a)[:, None] + 0.5)) / g
+        v = _pl_at(q1, np.minimum(shifted, 1.0).ravel()).reshape(a, cols, -1)
+        v = v.transpose(1, 0, 2).reshape(cols, -1)
+        p = np.concatenate([p0[r:r + rows] for r in range(a)], axis=1)
+        tables.append((np.einsum("md,md->m", p, p)[:, None]
+                       - 2.0 * np.sqrt(sigma) * (p @ v.T)
+                       + sigma * np.einsum("md,md->m", v, v)) / g)
+    # Row by row, every step's candidates fill one buffer and the first
+    # minimum wins, so exact ties resolve in DP_STEPS order.
     dist = np.full((g + 1, g + 1), np.inf)
     dist[0, 0] = 0.0
     choice = np.full((g + 1, g + 1), -1, dtype=np.int8)
-    better = np.empty(g + 1, dtype=bool)
+    cand = np.full((len(DP_STEPS), g + 1), np.inf)
+    nodes = np.arange(g + 1)
     for i2 in range(1, g + 1):
-        row = dist[i2]
         for step_idx, ((a, b), cost) in enumerate(zip(DP_STEPS, tables)):
             i1 = i2 - a
-            if i1 < 0 or cost is None:
-                continue
-            cand = dist[i1, :g - b + 1] + cost[i1]
-            mask = np.less(cand, row[b:], out=better[:g - b + 1])
-            np.copyto(row[b:], cand, where=mask)
-            np.copyto(choice[i2, b:], step_idx, where=mask)
+            if i1 >= 0 and cost is not None:
+                np.add(dist[i1, :g - b + 1], cost[i1], out=cand[step_idx, b:])
+        best = cand.argmin(axis=0)
+        dist[i2] = cand[best, nodes]
+        choice[i2] = np.where(np.isfinite(dist[i2]), best, -1)
     if not np.isfinite(dist[g, g]):
         raise GridMismatch("no admissible lattice path; grid too coarse")
     # Trace the winning path back and fill phi at every t node.
@@ -389,18 +390,11 @@ def warp_tsrv(q: np.ndarray, phi: Reparametrization) -> np.ndarray:
     interpolation; the derivative factor is the per-segment slope of phi.
     """
     n = q.shape[0]
-    d = q.shape[1]
     edges = np.linspace(0.0, 1.0, n + 1)
-    phi_edges = np.asarray(phi(edges), dtype=float)
-    slopes = np.maximum(np.diff(phi_edges) * n, 0.0)
+    slopes = np.maximum(np.diff(np.asarray(phi(edges), dtype=float)) * n, 0.0)
     phi_mids = np.asarray(phi((edges[:-1] + edges[1:]) / 2.0), dtype=float)
-    centers = (np.arange(n) + 0.5) / n
-    flat = q.reshape(n, d * d)
-    warped = np.empty_like(flat)
-    for col in range(d * d):
-        warped[:, col] = np.interp(phi_mids, centers, flat[:, col])
-    warped *= np.sqrt(slopes)[:, None]
-    return warped.reshape(n, d, d)
+    warped = _pl_at(q, phi_mids) * np.sqrt(slopes)[:, None]
+    return warped.reshape(q.shape)
 
 
 def karcher_mean(curves: list[ManifoldCurve], iters: int = 24,

@@ -70,7 +70,7 @@ class TestVelocityAndInterpolation:
         n = 10
         pts = np.stack([expm(k / n * omega) for k in range(n + 1)])
         v = curves.discrete_velocity(ManifoldCurve(points=pts))
-        assert np.abs(v.values - omega).max() < 1e-12
+        assert np.abs(v - omega).max() < 1e-12
 
     def test_piecewise_geodesic_hits_samples(self):
         c = stepped_curve(np.random.default_rng(2), 6, 3)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import bounded_skew, random_rotation, random_skew
 from dilshape import liegroup
@@ -60,6 +62,42 @@ class TestExpLog:
     def test_log_wrong_component(self):
         with pytest.raises(WrongComponent):
             liegroup.log_group(np.diag([1.0, 1.0, -1.0]))
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_stacked_log_matches_per_matrix(self, d):
+        rng = np.random.default_rng(30 + d)
+        omegas = np.stack([bounded_skew(rng, d, rng.uniform(0.0, np.pi - 0.01))
+                           for _ in range(12)]).reshape(3, 4, d, d)
+        gs = np.stack([liegroup.exp_group(w) for w in omegas.reshape(-1, d, d)])
+        stacked = liegroup.log_group(gs.reshape(3, 4, d, d))
+        assert stacked.shape == (3, 4, d, d)
+        single = np.stack([liegroup.log_group(g) for g in gs]).reshape(3, 4, d, d)
+        assert np.abs(stacked - single).max() < 1e-12
+        assert np.abs(stacked - omegas).max() < 1e-9
+
+    @pytest.mark.parametrize("bad, error", [
+        (np.diag([-1.0, -1.0, 1.0]), NearCutLocus),
+        (np.diag([1.0, 1.0, -1.0]), WrongComponent),
+        (1.001 * np.eye(3), NotOrthogonal),
+    ])
+    def test_one_bad_matrix_fails_the_stack(self, bad, error):
+        rng = np.random.default_rng(40)
+        gs = np.stack([random_rotation(rng, 3, 0.5) for _ in range(7)])
+        gs[4] = bad
+        with pytest.raises(error):
+            liegroup.log_group(gs)
+
+    def test_stack_of_non_square_matrices(self):
+        with pytest.raises(DimMismatch):
+            liegroup.log_group(np.zeros((4, 2, 3)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(2, 6),
+           angle=st.floats(0.0, np.pi - 1e-3))
+    def test_round_trip_property(self, seed, d, angle):
+        omega = bounded_skew(np.random.default_rng(seed), d, angle)
+        g = liegroup.exp_group(omega)
+        assert np.abs(liegroup.log_group(g) - omega).max() < 1e-9
 
 
 class TestMetric:
