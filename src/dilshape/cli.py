@@ -1,60 +1,21 @@
 """Command line front end for the factorization and comparison pipeline.
 
-Exit codes: 0 success, 2 input validation, 3 numerical degeneracy,
-4 window or grid violation, 5 file problems.
+Every domain error carries its exit code and stderr prefix (see errors.py
+and FORMATS.md, "Exit codes"); a missing or unreadable file exits like a
+malformed one.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 import numpy as np
 
 from . import corr, curves, dilation, io, shape
-from .errors import (
-    BadDim,
-    BadPosition,
-    DegenerateCurve,
-    DegenerateVariance,
-    DimMismatch,
-    FormatError,
-    GridMismatch,
-    InsufficientRealizations,
-    NearCutLocus,
-    NonPositiveDiagonal,
-    NotAContraction,
-    NotClosed,
-    NotOrthogonal,
-    NotPositiveDefinite,
-    NotSkew,
-    NotSquare,
-    NotSymmetric,
-    NotTangent,
-    OutOfRange,
-    SingularStep,
-    TruncationWindowExceeded,
-    VanishingVelocity,
-    WrongComponent,
-)
+from .errors import DegeneracyError, DilshapeError, FormatError, GridMismatch, SingularStep
 
 EXIT_OK = 0
-EXIT_VALIDATION = 2
-EXIT_DEGENERACY = 3
-EXIT_WINDOW = 4
-EXIT_IO = 5
-
-_VALIDATION_ERRORS = (
-    NotSquare, NotSymmetric, NotPositiveDefinite, NonPositiveDiagonal,
-    InsufficientRealizations, DegenerateVariance, OutOfRange, BadPosition,
-    NotOrthogonal, NotSkew, NotTangent, WrongComponent, NotClosed, DimMismatch,
-    NotAContraction,
-)
-_DEGENERACY_ERRORS = (
-    SingularStep, NearCutLocus, VanishingVelocity, DegenerateCurve,
-)
-_WINDOW_ERRORS = (TruncationWindowExceeded, BadDim, GridMismatch)
 
 
 def _say(args, message: str) -> None:
@@ -70,9 +31,7 @@ def cmd_parcors(args) -> int:
     flagged = int(params.degenerate.sum())
     _say(args, f"wrote {params.n}x{params.n} parameter set to {args.output}"
                + (f" ({flagged} degenerate entries)" if flagged else ""))
-    if flagged:
-        return EXIT_DEGENERACY
-    return EXIT_OK
+    return DegeneracyError.exit_code if flagged else EXIT_OK
 
 
 def cmd_dilate(args) -> int:
@@ -92,19 +51,8 @@ def cmd_dilate(args) -> int:
     return EXIT_OK
 
 
-def _sequence_from_input(path) -> dilation.DilationSequence:
-    if not Path(path).is_dir():
-        try:
-            data = io._read_json(path)
-        except (FormatError, OSError):
-            data = None
-        if isinstance(data, dict) and "points" in data:
-            return curves.sequence_from_curve(io.load_curve(path))
-    return io.load_sequence(path)
-
-
 def cmd_reconstruct(args) -> int:
-    seq = _sequence_from_input(args.input)
+    seq = io.load_sequence(args.input)
     if args.entry is not None:
         i, j = args.entry
         value = dilation.reconstruct_correlation(seq, i, j)
@@ -290,21 +238,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _VALIDATION_ERRORS as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except _DEGENERACY_ERRORS as exc:
-        print(f"degeneracy: {exc}", file=sys.stderr)
-        return EXIT_DEGENERACY
-    except _WINDOW_ERRORS as exc:
-        print(f"window/grid error: {exc}", file=sys.stderr)
-        return EXIT_WINDOW
-    except IndexError as exc:
-        print(f"window/grid error: {exc}", file=sys.stderr)
-        return EXIT_WINDOW
-    except (FormatError, OSError) as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    except DilshapeError as exc:
+        print(f"{exc.prefix}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except OSError as exc:
+        print(f"{FormatError.prefix}: {exc}", file=sys.stderr)
+        return FormatError.exit_code
 
 
 def entry() -> None:

@@ -109,8 +109,10 @@ def validate_spd(matrix, psd_tolerance: float = DEFAULT_PSD_TOLERANCE) -> Correl
         raise NotSquare(f"expected a square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise OutOfRange("matrix entries must be finite")
-    scale = max(1.0, float(np.abs(m).max()) if m.size else 1.0)
-    if float(np.abs(m - m.T).max()) > SYMMETRY_RTOL * scale:
+    # A positive factor changes no correlation; dividing by the largest
+    # entry keeps the sums and differences below from overflowing.
+    m = m / max(1.0, float(np.abs(m).max(initial=0.0)))
+    if float(np.abs(m - m.T).max(initial=0.0)) > SYMMETRY_RTOL:
         raise NotSymmetric("matrix is not symmetric within relative tolerance "
                            f"{SYMMETRY_RTOL:g}")
     m = 0.5 * (m + m.T)
@@ -118,10 +120,14 @@ def validate_spd(matrix, psd_tolerance: float = DEFAULT_PSD_TOLERANCE) -> Correl
     if np.any(d <= 0.0):
         raise NonPositiveDiagonal("diagonal entries must be strictly positive")
     if not np.allclose(d, 1.0, atol=1e-12):
+        # Finite whenever |m_ij| <= sqrt(d_i d_j), which every PD matrix meets.
         inv = 1.0 / np.sqrt(d)
-        m = m * np.outer(inv, inv)
-        m = 0.5 * (m + m.T)
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = m * inv[:, None] * inv[None, :]
+            m = 0.5 * (m + m.T)
     np.fill_diagonal(m, 1.0)
+    if not np.isfinite(m).all():
+        raise NotPositiveDefinite("an entry exceeds the bound its diagonal sets")
     smallest = float(np.linalg.eigvalsh(m)[0])
     if smallest <= psd_tolerance:
         raise NotPositiveDefinite(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dilation import DilationSequence
-from .errors import GridMismatch, OutOfRange, WrongComponent
+from .errors import DimMismatch, GridMismatch, OutOfRange, WrongComponent
 from .liegroup import ensure_rotation, exp_group, log_group
 
 CLOSURE_TOL = 1e-8
@@ -34,6 +34,9 @@ class ManifoldCurve:
             raise GridMismatch(f"expected shape (samples, d, d), got {p.shape}")
         if p.shape[0] < 1:
             raise GridMismatch("a curve needs at least one sample")
+        if self.base is not None and np.shape(self.base) != p.shape[1:]:
+            raise DimMismatch(f"base has shape {np.shape(self.base)}, "
+                              f"points are {p.shape[1:]}")
         if not np.isfinite(p).all() or (
                 self.base is not None and not np.isfinite(self.base).all()):
             raise OutOfRange("curve points and base must be finite")

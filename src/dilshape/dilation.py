@@ -33,7 +33,9 @@ from .errors import (
     NotSquare,
     OutOfRange,
     SingularStep,
+    TruncationWindowExceeded,
 )
+from .liegroup import ensure_rotation
 
 DEFECT_FLOOR = 1e-8
 CONTRACTION_SLACK = 1e-9
@@ -179,7 +181,7 @@ def schur_reconstruct_entry(params: SchurParams, k: int, j: int) -> float:
     """
     n = params.n
     if not (0 <= k < j < n):
-        raise IndexError(f"need 0 <= k < j < {n}, got ({k}, {j})")
+        raise TruncationWindowExceeded(f"need 0 <= k < j < {n}, got ({k}, {j})")
     window = SchurParams.from_gamma(params.gamma[k:j + 1, k:j + 1])
     return float(reconstruct_matrix(window)[0, -1])
 
@@ -278,9 +280,7 @@ class DilationSequence:
             raise BadDim(f"expected shape (count, {self.dim}, {self.dim}), got {m.shape}")
         if not np.isfinite(m).all():
             raise OutOfRange("sequence entries must be finite")
-        residual = np.abs(m @ m.transpose(0, 2, 1) - np.eye(self.dim))
-        if m.size and float(residual.max()) > 1e-10:
-            raise OutOfRange("sequence entries must be orthogonal")
+        ensure_rotation(m, tol=1e-10)
 
     @property
     def count(self) -> int:
@@ -320,16 +320,14 @@ def reconstruct_correlation(seq: DilationSequence, i: int, j: int) -> float:
     within the truncation window dim - 1 and the product must not run off
     the end of the sequence.
     """
-    from .errors import TruncationWindowExceeded
-
     if not 0 <= i < j:
-        raise IndexError(f"need 0 <= i < j, got ({i}, {j})")
+        raise TruncationWindowExceeded(f"need 0 <= i < j, got ({i}, {j})")
     if j - i > seq.dim - 1:
         raise TruncationWindowExceeded(
             f"lag {j - i} exceeds window {seq.dim - 1} for dim {seq.dim}")
     if j > seq.count:
-        raise IndexError(f"entry ({i}, {j}) needs matrix {j - 1}, "
-                         f"sequence has {seq.count}")
+        raise TruncationWindowExceeded(f"entry ({i}, {j}) needs matrix {j - 1}, "
+                                       f"sequence has {seq.count}")
     vec = np.zeros(seq.dim)
     vec[0] = 1.0
     for t in range(j - 1, i - 1, -1):

@@ -1,112 +1,137 @@
 """Exception types shared across the package.
 
-Every error raised on a contract violation derives from DilshapeError, so
-callers (and the command line front end) can map failures to a coarse
-category without string matching.
+Every error raised on a contract violation derives from DilshapeError
+through exactly one of four category bases.  The category carries the
+command line exit code and the stderr prefix as class constants, so a
+front end maps any failure by reading ``exc.exit_code`` and ``exc.prefix``
+instead of listing classes by name (see FORMATS.md, "Exit codes").
 """
 
 
 class DilshapeError(Exception):
-    """Base class for all domain errors."""
+    """Base class for all domain errors; raise one of its categories."""
+
+    exit_code: int
+    prefix: str
 
 
-# --- input validation -------------------------------------------------------
+class ValidationError(DilshapeError):
+    """Category: the input breaks a documented contract."""
 
-class NotSquare(DilshapeError):
+    exit_code = 2
+    prefix = "validation error"
+
+
+class DegeneracyError(DilshapeError):
+    """Category: a vanishing quantity leaves the request undefined."""
+
+    exit_code = 3
+    prefix = "degeneracy"
+
+
+class WindowError(DilshapeError):
+    """Category: an index, window or grid does not fit the data."""
+
+    exit_code = 4
+    prefix = "window/grid error"
+
+
+class FormatError(DilshapeError):
+    """Category: file content does not match the documented format."""
+
+    exit_code = 5
+    prefix = "i/o error"
+
+
+# --- validation -------------------------------------------------------------
+
+class NotSquare(ValidationError):
     """Matrix input is not square."""
 
 
-class NotSymmetric(DilshapeError):
+class NotSymmetric(ValidationError):
     """Matrix is not symmetric within tolerance."""
 
 
-class NotPositiveDefinite(DilshapeError):
+class NotPositiveDefinite(ValidationError):
     """Smallest eigenvalue is at or below the admissible floor."""
 
 
-class NonPositiveDiagonal(DilshapeError):
+class NonPositiveDiagonal(ValidationError):
     """A diagonal entry is zero or negative."""
 
 
-class InsufficientRealizations(DilshapeError):
+class InsufficientRealizations(ValidationError):
     """Too few realizations to form an ensemble estimate."""
 
 
-class DegenerateVariance(DilshapeError):
+class DegenerateVariance(ValidationError):
     """A coordinate has vanishing sample variance."""
 
 
-class OutOfRange(DilshapeError):
+class OutOfRange(ValidationError):
     """Scalar argument outside its admissible interval."""
 
 
-# --- parcor / dilation ------------------------------------------------------
-
-class NotAContraction(DilshapeError):
+class NotAContraction(ValidationError):
     """A solved or supplied parameter exceeds magnitude one."""
 
 
-class BadPosition(DilshapeError):
+class BadPosition(ValidationError):
     """Rotation block position does not fit inside the requested size."""
 
 
-class BadDim(DilshapeError):
-    """Truncation size is out of range for the parameter set."""
-
-
-class TruncationWindowExceeded(DilshapeError):
-    """Requested lag is larger than the truncation size supports."""
-
-
-class SingularStep(DilshapeError):
-    """Order recursion hit a non-positive prediction error."""
-
-
-# --- group geometry ---------------------------------------------------------
-
-class DimMismatch(DilshapeError):
+class DimMismatch(ValidationError):
     """Operands live on groups of different size."""
 
 
-class NotOrthogonal(DilshapeError):
+class NotOrthogonal(ValidationError):
     """Matrix is not orthogonal within tolerance."""
 
 
-class WrongComponent(DilshapeError):
+class WrongComponent(ValidationError):
     """Matrix has determinant -1 and no logarithm in the algebra."""
 
 
-class NotSkew(DilshapeError):
+class NotSkew(ValidationError):
     """Matrix is not skew-symmetric within tolerance."""
 
 
-class NotTangent(DilshapeError):
+class NotTangent(ValidationError):
     """Vector is not tangent at the claimed base point."""
 
 
-class NearCutLocus(DilshapeError):
-    """Rotation angle too close to pi for a stable principal logarithm."""
-
-
-# --- curves / shape ---------------------------------------------------------
-
-class GridMismatch(DilshapeError):
-    """Sample grids are incompatible for the requested comparison."""
-
-
-class VanishingVelocity(DilshapeError):
-    """A curve segment has (numerically) zero velocity."""
-
-
-class NotClosed(DilshapeError):
+class NotClosed(ValidationError):
     """Operation requires closed curves."""
 
 
-class DegenerateCurve(DilshapeError):
+# --- degeneracy -------------------------------------------------------------
+
+class SingularStep(DegeneracyError):
+    """Order recursion hit a non-positive prediction error."""
+
+
+class NearCutLocus(DegeneracyError):
+    """Rotation angle too close to pi for a stable principal logarithm."""
+
+
+class VanishingVelocity(DegeneracyError):
+    """A curve segment has (numerically) zero velocity."""
+
+
+class DegenerateCurve(DegeneracyError):
     """Curve carries no usable velocity information."""
 
 
-# --- file interfaces --------------------------------------------------------
+# --- window / grid ----------------------------------------------------------
 
-class FormatError(DilshapeError):
-    """File content does not match the documented format."""
+class BadDim(WindowError):
+    """Truncation size is out of range for the parameter set."""
+
+
+class TruncationWindowExceeded(WindowError, IndexError):
+    """Requested entry lies outside the window or the sequence supports."""
+
+
+class GridMismatch(WindowError):
+    """Sample grids are incompatible for the requested comparison."""

@@ -14,29 +14,37 @@ from pathlib import Path
 
 import numpy as np
 
-from .curves import ManifoldCurve
+from .curves import ManifoldCurve, sequence_from_curve
 from .corr import RealizationSet
 from .dilation import DilationSequence, SchurParams
 from .errors import FormatError
 
 
-def _as_float_matrix(rows, what: str) -> np.ndarray:
+def _as_float_array(data, what: str, ndim: int = 2) -> np.ndarray:
+    """``data`` as a float array of ``ndim`` dims; a 3-d stack must hold square matrices."""
     try:
-        m = np.asarray(rows, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"{what}: non-numeric content") from exc
-    if m.ndim != 2:
-        raise FormatError(f"{what}: expected a 2-d table, got shape {m.shape}")
-    return m
+        a = np.asarray(data, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"{what}: non-numeric or ragged content") from exc
+    if a.ndim != ndim or (ndim == 3 and a.shape[1] != a.shape[2]):
+        layout = "a 2-d table" if ndim == 2 else "a stack of square matrices"
+        raise FormatError(f"{what}: expected {layout}, got shape {a.shape}")
+    return a
 
 
-def _read_json(path) -> dict:
-    text = Path(path).read_text()
+def _read_json(path):
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(Path(path).read_text())
+    except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, deep nesting
         raise FormatError(f"{path}: invalid JSON ({exc})") from exc
-    return data
+
+
+def _read_csv(path) -> list:
+    try:
+        with open(path, newline="") as handle:
+            return [row for row in csv.reader(handle) if row]
+    except (ValueError, csv.Error) as exc:  # bad UTF-8, malformed quoting
+        raise FormatError(f"{path}: unreadable CSV ({exc})") from exc
 
 
 def _write_json(path, payload) -> None:
@@ -54,11 +62,9 @@ def load_matrix(path, fmt: str | None = None) -> np.ndarray:
     if _format_of(path, fmt) == "json":
         data = _read_json(path)
         entries = data.get("entries", data) if isinstance(data, dict) else data
-        m = _as_float_matrix(entries, str(path))
+        m = _as_float_array(entries, str(path))
     else:
-        with open(path, newline="") as handle:
-            rows = [row for row in csv.reader(handle) if row]
-        m = _as_float_matrix(rows, str(path))
+        m = _as_float_array(_read_csv(path), str(path))
     if m.shape[0] != m.shape[1]:
         raise FormatError(f"{path}: matrix is {m.shape[0]}x{m.shape[1]}, not square")
     return m
@@ -77,9 +83,8 @@ def load_realizations(path, fmt: str | None = None) -> RealizationSet:
         data = _read_json(path)
         rows = data.get("samples", data) if isinstance(data, dict) else data
     else:
-        with open(path, newline="") as handle:
-            rows = [row for row in csv.reader(handle) if row]
-    return RealizationSet(samples=_as_float_matrix(rows, str(path)))
+        rows = _read_csv(path)
+    return RealizationSet(samples=_as_float_array(rows, str(path)))
 
 
 def save_realizations(path, data: RealizationSet, fmt: str | None = None) -> None:
@@ -94,7 +99,7 @@ def _indexed(path, data: dict, key: str, n: int, width: int) -> list:
     """Rows of ``data[key]`` as ((i, j), *values) with 0 <= i < j < n."""
     try:
         rows = [((int(i), int(j)), *map(float, rest)) for i, j, *rest in data.get(key, [])]
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: '{key}' entries are lists of {width} numbers") from exc
     for (i, j), *rest in rows:
         if len(rest) != width - 2 or not 0 <= i < j < n:
@@ -110,7 +115,7 @@ def load_params(path) -> SchurParams:
     try:
         n = int(data["n"])
         gamma = np.zeros((n, n))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError, MemoryError) as exc:
         raise FormatError(f"{path}: 'n' must be a non-negative integer") from exc
     for pair, value in _indexed(path, data, "gamma", n, 3):
         gamma[pair] = value
@@ -141,22 +146,21 @@ def save_params(path, params: SchurParams) -> None:
 
 
 def load_sequence(path) -> DilationSequence:
+    """Rotation sequence from a sequence file, a curve file or a CSV directory."""
     p = Path(path)
     if p.is_dir():
         files = sorted(q for q in p.iterdir() if q.suffix.lower() == ".csv")
         if not files:
             raise FormatError(f"{path}: directory holds no CSV matrices")
-        mats = np.stack([load_matrix(f) for f in files])
+        mats = _as_float_array([load_matrix(f) for f in files], str(path), 3)
     else:
         data = _read_json(path)
+        if isinstance(data, dict) and "points" in data:
+            return sequence_from_curve(_curve_from(path, data))
         if not isinstance(data, dict) or "matrices" not in data:
-            raise FormatError(f"{path}: sequence files need a 'matrices' field")
-        try:
-            mats = np.asarray(data["matrices"], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise FormatError(f"{path}: non-numeric or ragged matrices") from exc
-    if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
-        raise FormatError(f"{path}: sequence entries must be square matrices")
+            raise FormatError(f"{path}: sequence files need a 'matrices' "
+                              "or a curve's 'points' field")
+        mats = _as_float_array(data["matrices"], str(path), 3)
     return DilationSequence(matrices=mats, dim=mats.shape[1])
 
 
@@ -164,17 +168,18 @@ def save_sequence(path, seq: DilationSequence) -> None:
     _write_json(path, {"dim": seq.dim, "matrices": seq.matrices.tolist()})
 
 
-def load_curve(path) -> ManifoldCurve:
-    data = _read_json(path)
+def _curve_from(path, data) -> ManifoldCurve:
     if not isinstance(data, dict) or "points" not in data:
         raise FormatError(f"{path}: curve files need a 'points' field")
-    pts = np.asarray(data["points"], dtype=float)
-    if pts.ndim != 3 or pts.shape[1] != pts.shape[2]:
-        raise FormatError(f"{path}: curve points must be square matrices")
+    pts = _as_float_array(data["points"], str(path), 3)
     base = data.get("base")
     if base is not None:
-        base = np.asarray(base, dtype=float)
+        base = _as_float_array(base, f"{path}: base")
     return ManifoldCurve(points=pts, closed=bool(data.get("closed", False)), base=base)
+
+
+def load_curve(path) -> ManifoldCurve:
+    return _curve_from(path, _read_json(path))
 
 
 def save_curve(path, curve: ManifoldCurve) -> None:

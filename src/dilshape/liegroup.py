@@ -48,8 +48,11 @@ def ensure_rotation(g, tol: float = ORTHOGONALITY_TOL) -> np.ndarray:
     g = np.asarray(g, dtype=float)
     if g.ndim < 2 or g.shape[-1] != g.shape[-2]:
         raise DimMismatch(f"expected a square matrix, got shape {g.shape}")
-    residual = np.abs(g @ np.swapaxes(g, -1, -2) - np.eye(g.shape[-1]))
-    if float(residual.max(initial=0.0)) > tol:
+    # No entry of an orthogonal matrix exceeds one; checking that first
+    # rejects NaN and keeps g g^T from overflowing.
+    bounded = float(np.abs(g).max(initial=0.0)) <= 1.0 + tol
+    if not bounded or float(np.abs(g @ np.swapaxes(g, -1, -2)
+                                   - np.eye(g.shape[-1])).max(initial=0.0)) > tol:
         raise NotOrthogonal("matrix is not orthogonal within tolerance")
     return g
 

@@ -1,7 +1,12 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from dilshape import io
 from dilshape.cli import main
@@ -198,3 +203,174 @@ class TestExitCodes:
         params = tmp_path / "p.json"
         run("parcors", mat, "-o", params)
         assert run("dilate", params, "--dim", 9, "-o", tmp_path / "c.json") == 4
+
+
+class TestMalformedFiles:
+    """Loader failures exit 5 (or 2 for a contract breach), never a traceback."""
+
+    def curve_file(self, path, **fields):
+        path.write_text(json.dumps({"dim": 4, "closed": False, **fields}))
+        return path
+
+    @pytest.mark.parametrize("points", [
+        [np.eye(4).tolist(), [[1.0]]],
+        [[["a"] * 4] * 4] * 3,
+        {"a": 1},
+    ], ids=["ragged", "strings", "object"])
+    def test_bad_points(self, tmp_path, capsys, points):
+        curve = self.curve_file(tmp_path / "c.json", points=points)
+        assert run("reconstruct", curve, "-o", tmp_path / "r.csv") == 5
+        assert run("dist", curve, curve) == 5
+        assert capsys.readouterr().err.startswith("i/o error:")
+
+    @pytest.mark.parametrize("name, content", [
+        ("m.csv", b"\xff\xfe1,0\n"),
+        ("m.json", b"\xff\xfe1,0\n"),
+        ("m.json", b"[" * 100000),
+    ], ids=["csv-bytes", "json-bytes", "json-deep"])
+    def test_unreadable_matrix(self, tmp_path, capsys, name, content):
+        bad = tmp_path / name
+        bad.write_bytes(content)
+        assert run("parcors", bad, "-o", tmp_path / "p.json") == 5
+        assert capsys.readouterr().err.startswith("i/o error:")
+
+    def test_mixed_size_directory(self, tmp_path, capsys):
+        seq = tmp_path / "seq"
+        seq.mkdir()
+        np.savetxt(seq / "a.csv", np.eye(3), delimiter=",")
+        np.savetxt(seq / "b.csv", np.eye(4), delimiter=",")
+        assert run("reconstruct", seq, "-o", tmp_path / "r.csv") == 5
+        assert capsys.readouterr().err.startswith("i/o error:")
+
+    def test_short_base(self, tmp_path, capsys):
+        curve = self.curve_file(tmp_path / "c.json", points=[np.eye(4).tolist()] * 3,
+                                base=[[1.0]])
+        assert run("reconstruct", curve, "-o", tmp_path / "r.csv") == 2
+        assert capsys.readouterr().err.startswith("validation error:")
+
+    def test_oversized_parameter_set(self, tmp_path, capsys):
+        params = tmp_path / "p.json"
+        params.write_text(json.dumps({"n": 1000000, "gamma": []}))
+        assert run("dilate", params, "--dim", 3, "-o", tmp_path / "c.json") == 5
+        assert capsys.readouterr().err.startswith("i/o error:")
+
+    def test_curve_file_as_sequence_input(self, tmp_path):
+        mat = write_matrix(tmp_path / "r.json",
+                           [[1.0, 0.5, 0.25], [0.5, 1.0, 0.5], [0.25, 0.5, 1.0]])
+        run("parcors", mat, "-o", tmp_path / "p.json")
+        curve, seq = tmp_path / "c.json", tmp_path / "s.json"
+        run("dilate", tmp_path / "p.json", "--dim", 3, "--full", "-o", curve,
+            "--sequence-out", seq)
+        assert np.allclose(io.load_sequence(curve).matrices,
+                           io.load_sequence(seq).matrices, atol=1e-12)
+
+
+# --- loader fuzz ----------------------------------------------------------------
+
+LEAVES = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3),
+    st.integers(-3, 10), st.integers(10 ** 20, 10 ** 400),
+    st.floats(-2.0, 2.0), st.sampled_from([float("nan"), float("inf"), 1e308, -0.0]),
+)
+JUNK = st.recursive(LEAVES, lambda inner: st.lists(inner, max_size=4)
+                    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+                    max_leaves=12)
+
+
+@st.composite
+def rotations(draw, count):
+    """``count`` rotations of one random size as nested lists, one entry maybe spoiled."""
+    d = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    mats = []
+    for _ in range(count):
+        m = rng.standard_normal((d, d))
+        mats.append(expm(0.4 * (m - m.T)).tolist())
+    if mats and draw(st.booleans()):
+        k, i, j = (draw(st.integers(0, n - 1)) for n in (count, d, d))
+        mats[k][i][j] = draw(LEAVES)
+    return mats
+
+
+def spoiled(valid):
+    """A field value: mostly well formed, sometimes junk of any shape."""
+    return st.one_of(valid, valid, valid, JUNK)
+
+
+@st.composite
+def curve_file(draw):
+    count = draw(st.integers(0, 5))
+    fields = {"dim": draw(spoiled(st.integers(1, 4))),
+              "closed": draw(st.booleans()),
+              "points": draw(spoiled(rotations(count)))}
+    if draw(st.booleans()):
+        fields["base"] = draw(spoiled(rotations(1).map(lambda m: m[0] if m else m)))
+    return fields
+
+
+@st.composite
+def sequence_file(draw):
+    return {"dim": draw(st.integers(1, 4)),
+            "matrices": draw(spoiled(rotations(draw(st.integers(0, 6)))))}
+
+
+@st.composite
+def params_file(draw):
+    n = draw(st.integers(-1, 7))
+    entry = st.tuples(st.integers(-1, 7), st.integers(-1, 7),
+                      st.floats(-1.1, 1.1)).map(list)
+    pairs = st.lists(st.tuples(st.integers(-1, 7), st.integers(-1, 7)).map(list),
+                     max_size=3)
+    fields = {"n": draw(spoiled(st.just(n))),
+              "gamma": draw(spoiled(st.lists(entry, max_size=8)))}
+    for key in ("degenerate", "boundary"):
+        if draw(st.booleans()):
+            fields[key] = draw(spoiled(pairs))
+    return fields
+
+
+@st.composite
+def matrix_file(draw):
+    n = draw(st.integers(1, 6))
+    rho = draw(st.floats(-1.1, 1.1))
+    lag = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    entries = (rho ** lag).tolist()
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        entries[i][j] = draw(LEAVES)
+    return {"n": n, "entries": draw(spoiled(st.just(entries)))}
+
+
+def file_of(kind):
+    return st.one_of(kind(), kind(), kind(), JUNK)
+
+
+class TestLoaderFuzz:
+    """Random curve, sequence, parameter and matrix files through five commands."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(curves=st.lists(file_of(curve_file), min_size=2, max_size=2),
+           sequence=st.one_of(file_of(sequence_file), file_of(curve_file)),
+           params=file_of(params_file), matrix=file_of(matrix_file),
+           dim=st.integers(1, 8), full=st.booleans(),
+           mode=st.sampled_from(["shape", "curve", "closed"]))
+    def test_exit_codes_are_documented(self, curves, sequence, params, matrix,
+                                       dim, full, mode):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+
+            def write(name, payload):
+                (tmp / name).write_text(json.dumps(payload))
+                return tmp / name
+
+            c0, c1 = (write(f"c{k}.json", c) for k, c in enumerate(curves))
+            calls = [
+                ("dist", c0, c1, "--mode", mode),
+                ("mean", c0, c1, "--iters", 2, "-o", tmp / "mean.json"),
+                ("reconstruct", write("s.json", sequence), "-o", tmp / "r.csv"),
+                ("dilate", write("p.json", params), "--dim", dim, "-o", tmp / "d.json",
+                 *(["--full"] if full else [])),
+                ("parcors", write("m.json", matrix), "-o", tmp / "q.json"),
+            ]
+            for argv in calls:
+                assert run("--quiet", *argv) in {0, 2, 3, 4, 5}, argv

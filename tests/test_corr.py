@@ -57,6 +57,12 @@ class TestValidateSpd:
         with pytest.raises(NotPositiveDefinite):
             corr.validate_spd(r)
 
+    def test_extreme_diagonal_rescales_without_overflow(self):
+        m = corr.validate_spd(np.array([[1e308, 0.5], [0.5, 1.0]]))
+        assert m.entries[0, 1] == pytest.approx(0.5 / np.sqrt(1e308), rel=1e-12)
+        with pytest.raises(NotPositiveDefinite):
+            corr.validate_spd(np.array([[5e-324, 1.0], [1.0, 5e-324]]))
+
     def test_entries_read_only(self):
         m = corr.validate_spd(ar_matrix(0.3, 3))
         with pytest.raises(ValueError):

@@ -34,6 +34,13 @@ class TestAlgebraChecks:
         with pytest.raises(NotOrthogonal):
             liegroup.ensure_rotation(2.0 * np.eye(3))
 
+    @pytest.mark.parametrize("g", [np.full((2, 2), np.nan),
+                                   np.array([[1e308, 1e308], [1e308, -1e308]])],
+                             ids=["nan", "overflowing"])
+    def test_ensure_rotation_rejects_unbounded(self, g):
+        with pytest.raises(NotOrthogonal):
+            liegroup.ensure_rotation(g)
+
     def test_component_sign(self):
         assert liegroup.component_sign(np.eye(3)) == 1
         assert liegroup.component_sign(np.diag([1.0, 1.0, -1.0])) == -1
