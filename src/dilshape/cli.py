@@ -8,6 +8,7 @@ malformed one.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -143,6 +144,7 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dilshape",
@@ -159,7 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="smallest eigenvalue accepted as positive definite")
     p.add_argument("--format", choices=("csv", "json"),
                    help="force the input format instead of going by extension")
-    p.set_defaults(func=cmd_parcors)
 
     p = sub.add_parser("dilate", help="build the rotation curve of a parameter set")
     p.add_argument("params", help="parameter file from the parcors command")
@@ -172,7 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="extend the sequence through every row, padding "
                         "missing parameters with zero")
     p.add_argument("--sequence-out", help="also write the raw rotation sequence")
-    p.set_defaults(func=cmd_dilate)
 
     p = sub.add_parser("reconstruct",
                        help="rebuild correlation entries from a curve or sequence")
@@ -185,7 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--compare", help="reference matrix for an error report")
     p.add_argument("--format", choices=("csv", "json"),
                    help="force the output format instead of going by extension")
-    p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("dist", help="pairwise distances between curve files")
     p.add_argument("curves", nargs="+", help="curve files to compare")
@@ -198,7 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="spline-resample every curve to this many segments first")
     p.add_argument("-o", "--output",
                    help="distance matrix CSV destination (default stdout)")
-    p.set_defaults(func=cmd_dist)
 
     p = sub.add_parser("mean", help="elastic mean of curve files")
     p.add_argument("curves", nargs="+", help="curve files to average")
@@ -209,7 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resample", type=int,
                    help="spline-resample every curve to this many segments first")
     p.add_argument("-o", "--output", required=True, help="curve file destination")
-    p.set_defaults(func=cmd_mean)
 
     p = sub.add_parser("gen", help="generate synthetic processes")
     p.add_argument("kind", choices=("ar", "pc"),
@@ -229,15 +226,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix-out", help="also estimate and write the correlation matrix")
     p.add_argument("--format", choices=("csv", "json"),
                    help="force the output format instead of going by extension")
-    p.set_defaults(func=cmd_gen)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # Looked up per call, so a replaced cmd_* attribute takes effect.
+        return globals()[f"cmd_{args.command}"](args)
     except DilshapeError as exc:
         print(f"{exc.prefix}: {exc}", file=sys.stderr)
         return exc.exit_code

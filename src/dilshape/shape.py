@@ -7,7 +7,7 @@ distance is the L2 gap, and reparametrization acts as
 q -> (q o phi) sqrt(phi').  The shape distance minimizes the gap over
 increasing warps in two stages (Srivastava & Klassen 2016, ch. 4): a dynamic
 program over monotone lattice paths finds the global warp, and a
-gradient search (L-BFGS-B over the warp's log-slopes) refines it.
+Levenberg-Marquardt search over its nodes, slopes in [e^-2, e^2], refines it.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import Bounds, minimize
+from scipy.linalg.lapack import dptsv
 
 from .curves import ManifoldCurve, srv_values
 from .errors import (
@@ -34,12 +34,13 @@ KARCHER_TOL = 1e-8
 # The unit diagonal comes first so exact ties resolve to the identity warp.
 DP_STEPS = ((1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2), (2, 2), (3, 3))
 
-# Warp refinement: log-slopes on REFINE_CELLS times the lattice cells,
-# bounded to +-LOG_SLOPE_BOUND so that no slope underflows, minimized until
-# an iteration changes the cost by less than REFINE_FTOL times max(cost, 1).
+# Warp refinement: node steps on REFINE_CELLS times the lattice cells, slopes
+# in [1/SLOPE_BOUND, SLOPE_BOUND] so none underflows, until a step changes the
+# cost by less than REFINE_FTOL times max(cost, 1) or REFINE_ITERS steps pass.
 REFINE_CELLS = 6
-LOG_SLOPE_BOUND = 2.0
+SLOPE_BOUND = np.e ** 2
 REFINE_FTOL = 1e-6
+REFINE_ITERS = 200
 
 
 @dataclass(frozen=True)
@@ -259,64 +260,111 @@ def _eval_warp_cost(q0: np.ndarray, q1: np.ndarray, phi_nodes: np.ndarray) -> fl
     return max(float(np.einsum("md,md->m", gap, gap).mean()), 0.0)
 
 
-def _slope_warp(u: np.ndarray):
-    """Slopes phi' = softmax(u) * cells and the warp nodes they integrate to."""
-    cells = u.size
-    e = np.exp(u - u.max())
-    s = e * (cells / e.sum())
-    phi = np.concatenate(([0.0], np.cumsum(s) / cells))
-    phi[-1] = 1.0
-    return s, np.minimum(phi, 1.0)
-
-
-def _slope_cost(u: np.ndarray, p0: np.ndarray, q1: np.ndarray):
-    """The warp cost of log-slopes u and its gradient in u.
-
-    ``p0`` holds the q0 reads at the cell midpoints.  The cost is the
-    :func:`_eval_warp_cost` rule; its gradient has a term through each
-    cell's slope and one through its midpoint phi_mid, where the q1 read has
-    the piecewise-constant slope of the linear rule (zero past the ends).
-    """
-    cells = u.size
-    s, phi = _slope_warp(u)
-    mid = 0.5 * (phi[:-1] + phi[1:])
-    n1 = q1.shape[0]
+def _residuals(phi: np.ndarray, p0: np.ndarray, q1: np.ndarray):
+    """Cell gaps p0_m - sqrt(s_m) q1(mid_m) of a warp, its slopes s_m, and each
+    gap's derivatives in its cell's left and right node.  ``p0`` holds the q0
+    reads at the cell midpoints; the q1 read has the piecewise-constant slope
+    of the linear rule, zero past the ends."""
+    cells, n1 = phi.size - 1, q1.shape[0]
+    s = np.diff(phi) * cells
     flat = q1.reshape(n1, -1)
-    k, w = _pl_index(n1, mid)
+    k, w = _pl_index(n1, 0.5 * (phi[:-1] + phi[1:]))
     lo = flat[k]
     delta = flat[np.minimum(k + 1, n1 - 1)] - lo
     p1 = lo + w[:, None] * delta
     root = np.sqrt(s)
-    gap = p0 - root[:, None] * p1
-    cost = float(np.einsum("md,md->m", gap, gap).mean())
-    x = mid * n1 - 0.5
-    inside = (x > 0.0) & (x < n1 - 1.0)
-    d_mid = (-2.0 * n1 / cells) * inside * root * np.einsum("md,md->m", gap, delta)
-    d_s = (np.einsum("md,md->m", p1, p1)
-           - np.einsum("md,md->m", p0, p1) / root) / cells
-    # phi_mid of cell m moves with every slope before it and half its own.
-    d_s += (np.cumsum(d_mid[::-1])[::-1] - 0.5 * d_mid) / cells
-    return cost, s * (d_s - (s @ d_s) / cells)
+    inside = (k + w > 0.0) & (k + w < n1 - 1.0)
+    by_mid = (-0.5 * n1 * inside * root)[:, None] * delta
+    by_slope = (0.5 * cells / root)[:, None] * p1
+    return p0 - root[:, None] * p1, s, by_mid + by_slope, by_mid - by_slope
+
+
+def _normal_system(gap, dl, dr):
+    """Diagonal, off-diagonal and gradient of the Gauss-Newton node system."""
+    m = np.einsum("amd,bmd->abm", np.stack([gap, dl, dr]), np.stack([dl, dr]))
+    zero = np.zeros((2, 1))
+    diag, grad = np.hstack([m[[1, 0], 0], zero]) + np.hstack([zero, m[[2, 0], 1]])
+    return diag, m[1, 1], grad
+
+
+def _tied_step(diag, off, grad, tied):
+    """Damped node step, the nodes of each tied cell moving as one group and the
+    end nodes' groups fixed; None when LAPACK finds the system singular."""
+    group = np.concatenate(([0], np.cumsum(~tied)))
+    last = group[-1]
+    gd = np.bincount(group, diag) + 2.0 * np.bincount(group[:-1], off * tied, last + 1)
+    gb = -np.bincount(group, grad)[1:last]
+    x = np.zeros(last + 1)
+    if last == 2:
+        x[1] = gb[0] / gd[1]
+    elif last > 2:
+        _, _, x[1:last], info = dptsv(gd[1:last], off[~tied][1:-1], gb)
+        if info != 0:
+            return None
+    return x[group]
+
+
+def _bounded_warp(s: np.ndarray) -> np.ndarray:
+    """Nodes of slopes clipped to the bounds, the excess spread in proportion
+    to room over the cells off the bounds (over all, if they lack room)."""
+    cells, lo, hi = s.size, 1.0 / SLOPE_BOUND, SLOPE_BOUND
+    s = np.clip(s, lo, hi)
+    excess = cells - s.sum()
+    room = hi - s if excess > 0.0 else s - lo
+    inside = room * ((s > lo) & (s < hi))
+    room = inside if inside.sum() > abs(excess) else room
+    phi = np.concatenate(([0.0], np.cumsum(s + excess * room / room.sum()) / cells))
+    phi[-1] = 1.0
+    return phi
 
 
 def _refine(p0: np.ndarray, q1: np.ndarray, phi_nodes: np.ndarray) -> np.ndarray:
-    """Gradient refinement of a warp over bounded log-slopes (L-BFGS-B)."""
-    cells = phi_nodes.size - 1
-    u0 = np.clip(np.log(np.diff(phi_nodes) * cells),
-                 -LOG_SLOPE_BOUND, LOG_SLOPE_BOUND)
-    res = minimize(_slope_cost, u0, args=(p0, q1), jac=True, method="L-BFGS-B",
-                   bounds=Bounds(-LOG_SLOPE_BOUND, LOG_SLOPE_BOUND),
-                   options={"ftol": REFINE_FTOL, "gtol": 0.0})
-    return _slope_warp(res.x)[1]
+    """Levenberg-Marquardt refinement of a warp over its interior nodes.
+
+    Each gap depends on its cell's two nodes, so the damped Gauss-Newton system
+    is tridiagonal.  A slope on a bound that the step would cross ties its
+    cell's nodes into one group.  The start's slopes must lie in the bounds;
+    only steps that lower the cost are taken.
+    """
+    phi = phi_nodes
+    gap, s, dl, dr = _residuals(phi, p0, q1)
+    cost = float(np.einsum("md,md->", gap, gap)) / s.size
+    diag, off, grad = _normal_system(gap, dl, dr)
+    lam = 1e-3 * max(diag.max(), 1.0)
+    for _ in range(REFINE_ITERS):
+        at_lo, at_hi = s <= (1.0 + 1e-9) / SLOPE_BOUND, s >= (1.0 - 1e-9) * SLOPE_BOUND
+        tied = np.zeros(s.size, dtype=bool)
+        while (step := _tied_step(diag + lam, off, grad, tied)) is not None:
+            ds = np.diff(step)
+            push = ((at_lo & (ds < 0.0)) | (at_hi & (ds > 0.0))) & ~tied
+            if not push.any():
+                break
+            tied |= push
+        if step is None:
+            lam *= 4.0
+            continue
+        new_phi = _bounded_warp(s + ds * s.size)
+        new = _residuals(new_phi, p0, q1)
+        new_cost = float(np.einsum("md,md->", new[0], new[0])) / s.size
+        change = cost - new_cost
+        if change > 0.0:
+            phi, cost, (gap, s, dl, dr) = new_phi, new_cost, new
+            diag, off, grad = _normal_system(gap, dl, dr)
+            lam /= 3.0
+        else:
+            lam *= 4.0
+        if abs(change) < REFINE_FTOL * max(cost, 1.0):
+            break
+    return phi
 
 
 def _aligned(q0: np.ndarray, q1: np.ndarray, grid: int):
-    """Best warp: the lattice search, then one gradient refinement of it.
+    """Best warp: the lattice search, then one node refinement of it.
 
     The lattice path of :func:`_dp_align` gives the global alignment.  It is
-    lifted to REFINE_CELLS times as many cells, and L-BFGS-B moves its
-    log-slopes to a nearby minimum of the same evaluation rule, which removes
-    the slope quantization of the lattice.  The identity, the lifted lattice
+    lifted to REFINE_CELLS times as many cells, and :func:`_refine` moves its
+    nodes to a nearby minimum of the same evaluation rule, which removes the
+    slope quantization of the lattice.  The identity, the lifted lattice
     path and the refined path are scored by that rule on the fine nodes and
     the lowest wins (ties to the earlier), so the result never exceeds the
     plain curve gap.
@@ -348,8 +396,8 @@ def shape_distance(c0: ManifoldCurve, c1: ManifoldCurve,
     The warp applies to c1: the returned phi minimizes the flat-coordinate
     gap between q0 and (q1 o phi) sqrt(phi'): the lattice search over
     monotone paths with slopes between 1/3 and 3 gives the global warp, and
-    a gradient search over piecewise-linear warps on six times as many cells
-    refines it.  The warp has 6 G + 1 nodes, G the lattice size.
+    a Levenberg-Marquardt search over piecewise-linear warps on six times as
+    many cells, slopes between e^-2 and e^2, refines it.  The warp has 6 G + 1 nodes, G the lattice size.
     """
     _check_comparable(c0, c1, need_same_grid=False)
     if grid < max(c0.segments, c1.segments):

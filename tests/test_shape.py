@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,10 +10,12 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from conftest import exhaustive_lattice_min, smooth_curve, stepped_curve
+import dilshape
 from dilshape import shape
 from dilshape.curves import ManifoldCurve
 from dilshape.errors import (
     DegenerateCurve,
+    DilshapeError,
     DimMismatch,
     GridMismatch,
     NotClosed,
@@ -207,21 +214,76 @@ class TestLatticeSearchMatchesExhaustive:
 
 
 class TestRefinement:
-    def test_gradient_matches_central_differences(self):
+    def test_node_derivatives_match_central_differences(self):
         rng = np.random.default_rng(23)
         for n0, n1, d, cells in ((5, 7, 3, 30), (8, 4, 2, 24), (3, 9, 4, 42)):
             q0 = tsrv(stepped_curve(rng, n0, d)).values
             q1 = tsrv(stepped_curve(rng, n1, d)).values
             p0 = shape._pl_at(q0, (np.arange(cells) + 0.5) / cells)
-            u = rng.uniform(-1.5, 1.5, cells)
-            cost, grad = shape._slope_cost(u, p0, q1)
-            assert cost == pytest.approx(
-                shape._eval_warp_cost(q0, q1, shape._slope_warp(u)[1]), abs=1e-12)
+            slopes = np.exp(rng.uniform(-1.5, 1.5, cells))
+            phi = np.concatenate(([0.0], np.cumsum(slopes) / slopes.sum()))
+            gap, s, d_left, d_right = shape._residuals(phi, p0, q1)
+            assert np.abs(s - np.diff(phi) * cells).max() < 1e-12
+            assert np.einsum("md,md->m", gap, gap).mean() == pytest.approx(
+                shape._eval_warp_cost(q0, q1, phi), abs=1e-12)
+            # Moving node j changes only the gaps of cells j - 1 and j.
             h = 1e-6
-            fd = np.array([(shape._slope_cost(u + h * e, p0, q1)[0]
-                            - shape._slope_cost(u - h * e, p0, q1)[0]) / (2.0 * h)
-                           for e in np.eye(cells)])
-            assert np.abs(grad - fd).max() <= 1e-5 * np.abs(fd).max()
+            fd = np.array([(shape._residuals(phi + h * e, p0, q1)[0]
+                            - shape._residuals(phi - h * e, p0, q1)[0]) / (2.0 * h)
+                           for e in np.eye(cells + 1)])
+            want = np.zeros_like(fd)
+            want[np.arange(cells), np.arange(cells)] = d_left
+            want[np.arange(1, cells + 1), np.arange(cells)] = d_right
+            assert np.abs(want - fd).max() <= 1e-5 * np.abs(fd).max()
+
+    @pytest.mark.parametrize("power", [3.0, 0.3])
+    def test_refined_slopes_stay_inside_bounds(self, power):
+        # Aligning against a steep warp asks for slopes beyond the bounds.
+        nodes = np.linspace(0.0, 1.0, 21)
+        q0 = tsrv(smooth_curve(nodes)).values
+        q1 = tsrv(smooth_curve(nodes ** power)).values
+        cells = 120
+        p0 = shape._pl_at(q0, (np.arange(cells) + 0.5) / cells)
+        phi = shape._refine(p0, q1, np.linspace(0.0, 1.0, cells + 1))
+        s = np.diff(phi) * cells
+        assert phi[0] == 0.0 and phi[-1] == 1.0
+        assert s.min() >= (1.0 - 1e-9) / shape.SLOPE_BOUND
+        assert s.max() <= (1.0 + 1e-9) * shape.SLOPE_BOUND
+        assert np.isclose(s, shape.SLOPE_BOUND).any() or np.isclose(
+            s, 1.0 / shape.SLOPE_BOUND).any()
+
+    def test_refinement_never_raises_the_cost(self):
+        rng = np.random.default_rng(24)
+        for _ in range(12):
+            n0, n1 = rng.integers(1, 12, size=2)
+            d = int(rng.integers(2, 5))
+            q0 = tsrv(stepped_curve(rng, int(n0), d)).values
+            q1 = tsrv(stepped_curve(rng, int(n1), d)).values
+            cells = 6 * int(max(n0, n1))
+            p0 = shape._pl_at(q0, (np.arange(cells) + 0.5) / cells)
+            slopes = np.exp(rng.uniform(-0.9, 0.9, cells))
+            start = np.concatenate(([0.0], np.cumsum(slopes) / slopes.sum()))
+            start[-1] = 1.0
+            phi = shape._refine(p0, q1, start)
+            assert (shape._eval_warp_cost(q0, q1, phi)
+                    <= shape._eval_warp_cost(q0, q1, start))
+
+    @pytest.mark.parametrize("n0, n1, grid", [
+        (1, 1, 1), (1, 2, 2), (2, 1, 2), (1, 3, 3), (3, 1, 3),
+        (1, 5, 5), (5, 1, 5), (1, 2, 6)])
+    def test_smallest_shapes(self, n0, n1, grid):
+        # The refinement system can shrink to a single free group here.
+        rng = np.random.default_rng(25 + 10 * n0 + n1)
+        for _ in range(6):
+            d = int(rng.integers(2, 5))
+            c0, c1 = stepped_curve(rng, n0, d), stepped_curve(rng, n1, d)
+            try:  # RuntimeWarning is an error in this suite
+                dist, phi = shape_distance(c0, c1, grid=grid)
+            except DilshapeError:
+                continue
+            assert np.isfinite(dist) and dist >= 0.0
+            assert isinstance(phi, Reparametrization)
+            assert np.all(np.diff(phi.values) >= 0.0)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 16),
@@ -236,6 +298,16 @@ class TestRefinement:
         assert phi.values.size == 6 * 2 * n + 1
         self_dist, _ = shape_distance(c0, c0, grid=2 * n)
         assert self_dist < 1e-12
+
+
+class TestImport:
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        src = Path(dilshape.__file__).resolve().parents[1]
+        code = "import dilshape, sys; print('scipy.optimize' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": str(src)})
+        assert out.stdout.strip() == "False"
 
 
 class TestPlaneRotationClosedForms:
