@@ -15,7 +15,7 @@ import numpy as np
 
 from .dilation import DilationSequence
 from .errors import DimMismatch, GridMismatch, OutOfRange, WrongComponent
-from .liegroup import ensure_rotation, exp_group, log_group
+from .liegroup import ensure_rotation, exp_group, log_group, project_skew
 
 CLOSURE_TOL = 1e-8
 
@@ -110,48 +110,40 @@ def discrete_velocity(curve: ManifoldCurve) -> np.ndarray:
     return _stack(curve.segments * _step_logs(curve))
 
 
+def _interpolate(curve: ManifoldCurve, params: np.ndarray, smooth: bool) -> np.ndarray:
+    """Points exp(delta) x_k at params t on segments k, for N >= 1 segments.
+
+    Geodesic: delta = (t N - k) log(x_{k+1} x_k^T).  Spline: a natural cubic
+    spline runs through the lift theta_k, the running sum of segment logs
+    (which keeps every log inside the injectivity radius), and delta =
+    theta(t) - theta_k.  Both reproduce the samples at their parameters.
+    """
+    n = curve.segments
+    logs = _step_logs(curve)
+    k = np.minimum(np.floor(params * n).astype(np.intp), n - 1)
+    if smooth:
+        # scipy.interpolate costs about 2.4 MB of resident memory to import,
+        # so only processes that interpolate smoothly pay for it.
+        from scipy.interpolate import CubicSpline
+
+        d = curve.dim
+        theta = np.concatenate([np.zeros((1, d, d)), np.cumsum(logs, axis=0)])
+        spline = CubicSpline(np.linspace(0.0, 1.0, n + 1),
+                             theta.reshape(n + 1, d * d), bc_type="natural")
+        # The lift is skew only up to spline roundoff, which grows with |theta|.
+        delta = project_skew(spline(params).reshape(-1, d, d) - theta[k])
+    else:
+        delta = (params * n - k)[:, None, None] * logs[k]
+    return exp_group(delta) @ curve.points[k]
+
+
 def piecewise_geodesic(curve: ManifoldCurve, t: float) -> np.ndarray:
     """Evaluate the geodesic interpolant of the samples at parameter t in [0, 1]."""
     if not 0.0 <= t <= 1.0:
         raise GridMismatch(f"parameter {t} outside [0, 1]")
-    n = curve.segments
-    if n == 0:
+    if curve.segments == 0:
         return curve.points[0].copy()
-    k = min(int(np.floor(t * n)), n - 1)
-    local = t * n - k
-    x0 = curve.points[k]
-    x1 = curve.points[k + 1]
-    return exp_group(local * log_group(x1 @ x0.T)) @ x0
-
-
-def _spline_points(curve: ManifoldCurve, params: np.ndarray) -> np.ndarray:
-    """Evaluate the spline interpolant of a curve at given parameters.
-
-    The lift accumulates per-segment logs, theta_k = sum of log increments
-    up to k, which keeps every log inside the injectivity radius regardless
-    of how far the curve travels overall.  A natural cubic spline runs
-    through the theta knots (for two knots that is a straight line, i.e. the
-    connecting geodesic) and points map back through
-    x(t) = exp(theta(t) - theta_k) x_k on segment k, so the original samples
-    are reproduced exactly at their parameters.
-    """
-    # scipy.interpolate costs about 2.4 MB of resident memory to import, so
-    # only processes that resample pay for it.
-    from scipy.interpolate import CubicSpline
-
-    n = curve.segments
-    d = curve.dim
-    theta = np.concatenate([np.zeros((1, d, d)),
-                            np.cumsum(_step_logs(curve), axis=0)])
-    knots = np.linspace(0.0, 1.0, n + 1)
-    spline = CubicSpline(knots, theta.reshape(n + 1, d * d), bc_type="natural")
-    pts = np.empty((params.size, d, d))
-    for idx, t in enumerate(params):
-        k = min(int(np.floor(t * n)), n - 1)
-        delta = spline(t).reshape(d, d) - theta[k]
-        # The lift is skew up to spline roundoff; exp_group enforces that.
-        pts[idx] = exp_group(0.5 * (delta - delta.T)) @ curve.points[k]
-    return pts
+    return _interpolate(curve, np.array([float(t)]), smooth=False)[0]
 
 
 def spline_resample(curve: ManifoldCurve, m: int) -> ManifoldCurve:
@@ -161,7 +153,7 @@ def spline_resample(curve: ManifoldCurve, m: int) -> ManifoldCurve:
         raise GridMismatch("resampling needs at least two samples")
     if m < n:
         raise GridMismatch(f"target resolution {m} below source {n}")
-    pts = _spline_points(curve, np.linspace(0.0, 1.0, m + 1))
+    pts = _interpolate(curve, np.linspace(0.0, 1.0, m + 1), smooth=True)
     return ManifoldCurve(points=_stack(pts), closed=curve.closed, base=None)
 
 
@@ -169,17 +161,19 @@ def warp_curve(curve: ManifoldCurve, phi, smooth: bool = False) -> ManifoldCurve
     """Reparametrize by a warp phi: y_k = c(phi(k / N)) on the same grid.
 
     ``phi`` may be a callable on [0, 1] or anything exposing one (for
-    instance the reparametrization returned by the shape comparison).  By
-    default samples sit on the piecewise-geodesic interpolant; with
-    ``smooth`` they sit on the spline interpolant instead, appropriate when
-    the samples come from a smooth underlying motion.
+    instance the reparametrization returned by the shape comparison); its
+    values are clipped to [0, 1] and must be finite.  By default samples sit
+    on the piecewise-geodesic interpolant; with ``smooth`` they sit on the
+    spline interpolant instead, appropriate when the samples come from a
+    smooth underlying motion.  A one-sample curve is returned unchanged.
     """
     n = curve.segments
-    values = np.clip([float(phi(k / n)) for k in range(n + 1)], 0.0, 1.0)
-    if smooth:
-        pts = _spline_points(curve, values)
-    else:
-        pts = np.stack([piecewise_geodesic(curve, v) for v in values])
+    if n == 0:
+        return curve
+    values = np.array([float(phi(k / n)) for k in range(n + 1)])
+    if not np.isfinite(values).all():
+        raise OutOfRange("warp values must be finite")
+    pts = _interpolate(curve, np.clip(values, 0.0, 1.0), smooth)
     return ManifoldCurve(points=_stack(pts), closed=curve.closed, base=None)
 
 

@@ -133,12 +133,11 @@ def stationary_params(parcors, n: int) -> SchurParams:
     p = np.asarray(parcors, dtype=float)
     if np.abs(p).max(initial=0.0) > 1.0:
         raise NotAContraction("parcors must have magnitude at most 1")
-    g = np.zeros((n, n))
-    for lag in range(1, n):
-        value = p[lag - 1] if lag - 1 < p.size else 0.0
-        for k in range(n - lag):
-            g[k, k + lag] = value
-    return SchurParams.from_gamma(g)
+    by_lag = np.zeros(n)
+    head = p[:max(n - 1, 0)]
+    by_lag[1:head.size + 1] = head
+    lag = np.arange(n) - np.arange(n)[:, None]
+    return SchurParams.from_gamma(by_lag[np.maximum(lag, 0)])
 
 
 def _rotate(rows: np.ndarray, gammas) -> None:

@@ -19,6 +19,8 @@ from .corr import RealizationSet
 from .dilation import DilationSequence, SchurParams
 from .errors import FormatError
 
+MAX_PARAMS_N = 2048  # largest n of a parameter file; readers allocate n x n
+
 
 def _as_float_array(data, what: str, ndim: int = 2) -> np.ndarray:
     """``data`` as a float array of ``ndim`` dims; a 3-d stack must hold square matrices."""
@@ -108,15 +110,21 @@ def _indexed(path, data: dict, key: str, n: int, width: int) -> list:
     return rows
 
 
+def _check_params_n(path, n: int) -> None:
+    if not 0 <= n <= MAX_PARAMS_N:
+        raise FormatError(f"{path}: parameter set size {n} outside [0, {MAX_PARAMS_N}]")
+
+
 def load_params(path) -> SchurParams:
     data = _read_json(path)
     if not isinstance(data, dict) or "n" not in data:
         raise FormatError(f"{path}: parameter files need an 'n' field")
     try:
         n = int(data["n"])
-        gamma = np.zeros((n, n))
-    except (TypeError, ValueError, OverflowError, MemoryError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: 'n' must be a non-negative integer") from exc
+    _check_params_n(path, n)
+    gamma = np.zeros((n, n))
     for pair, value in _indexed(path, data, "gamma", n, 3):
         gamma[pair] = value
     params = SchurParams.from_gamma(gamma)
@@ -129,13 +137,11 @@ def load_params(path) -> SchurParams:
 
 
 def save_params(path, params: SchurParams) -> None:
-    triples = []
-    n = params.n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if params.gamma[i, j] != 0.0 or params.degenerate[i, j]:
-                triples.append([i, j, float(params.gamma[i, j])])
-    payload: dict = {"n": n, "gamma": triples}
+    _check_params_n(path, params.n)
+    g = params.gamma
+    kept = np.nonzero(np.triu((g != 0.0) | params.degenerate, 1))
+    triples = [[int(i), int(j), float(g[i, j])] for i, j in zip(*kept)]
+    payload: dict = {"n": params.n, "gamma": triples}
     flagged = [[int(i), int(j)] for i, j in zip(*np.nonzero(params.degenerate))]
     if flagged:
         payload["degenerate"] = flagged

@@ -34,11 +34,13 @@ def project_skew(m) -> np.ndarray:
 
 
 def ensure_skew(m, tol: float = SKEW_TOL) -> np.ndarray:
+    """Check that m, or every matrix of a stack (..., d, d), is skew-symmetric."""
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise DimMismatch(f"expected a square matrix, got shape {m.shape}")
-    scale = max(1.0, float(np.abs(m).max()) if m.size else 1.0)
-    if float(np.abs(m + m.T).max()) > tol * scale:
+    scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1), initial=0.0))
+    gap = np.abs(m + np.swapaxes(m, -1, -2)).max(axis=(-2, -1), initial=0.0)
+    if (gap > tol * scale).any():
         raise NotSkew("matrix is not skew-symmetric within tolerance")
     return project_skew(m)
 
@@ -63,7 +65,7 @@ def component_sign(g) -> int:
 
 
 def exp_group(omega) -> np.ndarray:
-    """Matrix exponential of a skew-symmetric matrix; lands on det +1 rotations."""
+    """Exponential of a skew matrix, or of each in a stack; lands on rotations."""
     return expm(ensure_skew(omega))
 
 
@@ -135,11 +137,10 @@ def transport_to_identity(g, v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape != g.shape:
         raise DimMismatch(f"shapes {v.shape} and {g.shape} differ")
-    omega = v @ g.T
-    scale = max(1.0, float(np.abs(omega).max()))
-    if float(np.abs(omega + omega.T).max()) > TANGENT_TOL * scale:
-        raise NotTangent("v is not tangent at g")
-    return project_skew(omega)
+    try:
+        return ensure_skew(v @ g.T, TANGENT_TOL)
+    except NotSkew:
+        raise NotTangent("v is not tangent at g") from None
 
 
 def geodesic(g0, g1, s: float) -> np.ndarray:

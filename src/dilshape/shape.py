@@ -25,7 +25,7 @@ from .errors import (
     NotClosed,
     VanishingVelocity,
 )
-from .liegroup import exp_group, norm
+from .liegroup import exp_group
 
 Q_FLOOR = 1e-10
 KARCHER_TOL = 1e-8
@@ -115,14 +115,13 @@ def tsrv_inverse(t: TsrvCurve) -> ManifoldCurve:
     inverts :func:`tsrv` exactly up to roundoff.  Degenerate (zero) segments
     simply hold the point.
     """
-    n = t.segments
-    d = t.dim
-    pts = np.empty((n + 1, d, d))
+    q = t.values
+    qnorms = np.sqrt(np.einsum("kij,kij->k", q, q))
+    steps = exp_group(q * (qnorms / t.segments)[:, None, None])
+    pts = np.empty((t.segments + 1, t.dim, t.dim))
     pts[0] = t.start
-    for k in range(n):
-        q = t.values[k]
-        step = q * (norm(q) / n)
-        pts[k + 1] = exp_group(0.5 * (step - step.T)) @ pts[k]
+    for k, step in enumerate(steps):
+        pts[k + 1] = step @ pts[k]
     return ManifoldCurve(points=_frozen(pts), closed=False, base=None)
 
 

@@ -1,12 +1,44 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 from scipy.linalg import expm
 
 from conftest import random_rotation, smooth_curve, smooth_point, stepped_curve
 from dilshape import curves, dilation
 from dilshape.curves import ManifoldCurve
 from dilshape.errors import GridMismatch, NotOrthogonal, OutOfRange, WrongComponent
-from dilshape.liegroup import geodesic_distance, norm
+from dilshape.liegroup import geodesic_distance, log_group, norm
+
+
+def reference_interpolant(curve, params, smooth):
+    """Per-sample evaluation with one scipy expm per parameter.
+
+    Geodesic: exp((t N - k) log(x_{k+1} x_k^T)) x_k.  Spline: a natural
+    cubic spline through the accumulated step logs theta_k, then
+    exp(theta(t) - theta_k) x_k.
+    """
+    n, d, pts = curve.segments, curve.dim, curve.points
+    logs = np.stack([log_group(pts[k + 1] @ pts[k].T) for k in range(n)])
+    theta = np.concatenate([np.zeros((1, d, d)), np.cumsum(logs, axis=0)])
+    spline = CubicSpline(np.linspace(0.0, 1.0, n + 1), theta.reshape(n + 1, d * d),
+                         bc_type="natural")
+    out = []
+    for t in params:
+        k = min(int(np.floor(t * n)), n - 1)
+        if smooth:
+            delta = spline(t).reshape(d, d) - theta[k]
+        else:
+            delta = (t * n - k) * logs[k]
+        out.append(expm(0.5 * (delta - delta.T)) @ pts[k])
+    return np.stack(out)
+
+
+REFERENCE_CURVES = {
+    "smooth": lambda: smooth_curve(np.linspace(0.0, 1.0, 41)),
+    "stepped": lambda: stepped_curve(np.random.default_rng(11), 40, 3),
+}
 
 
 def ar_params(a, n):
@@ -135,6 +167,47 @@ class TestWarp:
         w = curves.warp_curve(c, lambda t: 1.2 * t - 0.1)
         assert np.abs(w.points[0] - c.points[0]).max() < 1e-12
         assert np.abs(w.points[-1] - c.points[-1]).max() < 1e-12
+
+
+    @pytest.mark.parametrize("smooth", [False, True])
+    def test_one_sample_curve_returned_unchanged(self, smooth):
+        c = ManifoldCurve(points=random_rotation(np.random.default_rng(12), 3)[None])
+        w = curves.warp_curve(c, lambda t: 0.5, smooth=smooth)
+        assert np.array_equal(w.points, c.points)
+
+    @pytest.mark.parametrize("smooth", [False, True])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_warp_values_rejected(self, smooth, bad):
+        c = stepped_curve(np.random.default_rng(7), 5, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfRange):
+                curves.warp_curve(c, lambda t: bad if t > 0.5 else t, smooth=smooth)
+
+
+class TestMatchesPerSampleReference:
+    @pytest.mark.parametrize("kind", sorted(REFERENCE_CURVES))
+    @pytest.mark.parametrize("smooth", [False, True])
+    def test_warp_curve(self, kind, smooth):
+        c = REFERENCE_CURVES[kind]()
+        phi = lambda t: 0.3 * t + 0.7 * t ** 3
+        w = curves.warp_curve(c, phi, smooth=smooth)
+        params = [phi(k / c.segments) for k in range(c.segments + 1)]
+        assert np.abs(w.points - reference_interpolant(c, params, smooth)).max() < 1e-13
+
+    @pytest.mark.parametrize("kind", sorted(REFERENCE_CURVES))
+    def test_spline_resample(self, kind):
+        c = REFERENCE_CURVES[kind]()
+        r = curves.spline_resample(c, 97)
+        ref = reference_interpolant(c, np.linspace(0.0, 1.0, 98), smooth=True)
+        assert np.abs(r.points - ref).max() < 1e-13
+
+    @pytest.mark.parametrize("kind", sorted(REFERENCE_CURVES))
+    def test_piecewise_geodesic(self, kind):
+        c = REFERENCE_CURVES[kind]()
+        params = np.random.default_rng(13).uniform(0.0, 1.0, 9)
+        got = np.stack([curves.piecewise_geodesic(c, t) for t in params])
+        assert np.abs(got - reference_interpolant(c, params, smooth=False)).max() < 1e-13
 
 
 class TestPathEnergy:

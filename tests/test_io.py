@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dilshape
 from dilshape import dilation, io
 from dilshape.errors import FormatError
 
@@ -41,3 +46,35 @@ class TestParamsFile:
         path.write_text(json.dumps({"n": n}))
         with pytest.raises(FormatError):
             io.load_params(path)
+
+    def test_rejects_size_above_cap(self, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"n": io.MAX_PARAMS_N + 1, "gamma": []}))
+        with pytest.raises(FormatError):
+            io.load_params(path)
+
+    def test_writer_refuses_sizes_the_reader_refuses(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(io, "MAX_PARAMS_N", 3)
+        path = tmp_path / "p.json"
+        io.save_params(path, dilation.stationary_params([0.5], 3))
+        assert io.load_params(path).n == 3
+        with pytest.raises(FormatError):
+            io.save_params(tmp_path / "q.json", dilation.stationary_params([0.5], 4))
+        assert not (tmp_path / "q.json").exists()
+
+    def test_oversized_header_exits_before_allocating(self, tmp_path):
+        # A 4000 x 4000 gamma and its masks would take several hundred MB.
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"n": 4000, "gamma": []}))
+        code = ("import resource, sys\n"
+                "from dilshape.cli import main\n"
+                "status = main(sys.argv[1:])\n"
+                "print(status, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+        argv = ["dilate", str(path), "--dim", "2", "-o", str(tmp_path / "c.json")]
+        src = Path(dilshape.__file__).resolve().parents[1]
+        out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                             text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": str(src)})
+        status, peak_kb = map(int, out.stdout.split())
+        assert status == 5
+        assert peak_kb < 150 * 1024

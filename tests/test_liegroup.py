@@ -82,6 +82,27 @@ class TestExpLog:
         assert np.abs(stacked - single).max() < 1e-12
         assert np.abs(stacked - omegas).max() < 1e-9
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_stacked_exp_matches_per_matrix(self, d):
+        rng = np.random.default_rng(50 + d)
+        omegas = np.stack([bounded_skew(rng, d, rng.uniform(0.0, 3.0))
+                           for _ in range(12)]).reshape(3, 4, d, d)
+        stacked = liegroup.exp_group(omegas)
+        single = np.stack([liegroup.exp_group(w) for w in omegas.reshape(-1, d, d)])
+        assert np.array_equal(stacked, single.reshape(3, 4, d, d))
+
+    def test_one_non_skew_matrix_fails_the_exp_stack(self):
+        # Each matrix is judged on its own scale: a large neighbour does not
+        # loosen the tolerance for a small one.
+        rng = np.random.default_rng(60)
+        omegas = np.stack([random_skew(rng, 3) for _ in range(7)])
+        omegas[0] *= 1e4
+        omegas[4, 0, 1] += 1e-8
+        with pytest.raises(NotSkew):
+            liegroup.exp_group(omegas)
+        with pytest.raises(DimMismatch):
+            liegroup.exp_group(np.zeros((4, 2, 3)))
+
     @pytest.mark.parametrize("bad, error", [
         (np.diag([-1.0, -1.0, 1.0]), NearCutLocus),
         (np.diag([1.0, 1.0, -1.0]), WrongComponent),

@@ -66,6 +66,38 @@ class TestTransform:
         assert np.abs(warp_tsrv(q, phi) - q).max() < 1e-14
 
 
+def reference_inverse(start, q):
+    """x_{k+1} = expm(q_k |q_k| / N) x_k, one scipy expm per segment."""
+    n = q.shape[0]
+    pts = [start]
+    for qk in q:
+        step = qk * (np.sqrt(np.sum(qk * qk)) / n)
+        pts.append(expm(0.5 * (step - step.T)) @ pts[-1])
+    return np.stack(pts)
+
+
+REFERENCE_CURVES = {
+    "smooth": lambda: smooth_curve(np.linspace(0.0, 1.0, 41)),
+    "stepped": lambda: stepped_curve(np.random.default_rng(14), 40, 3),
+}
+
+
+class TestInverseMatchesPerSampleReference:
+    @pytest.mark.parametrize("kind", sorted(REFERENCE_CURVES))
+    def test_tsrv_inverse(self, kind):
+        t = tsrv(REFERENCE_CURVES[kind]())
+        ref = reference_inverse(t.start, t.values)
+        assert np.abs(tsrv_inverse(t).points - ref).max() < 1e-13
+
+    @pytest.mark.parametrize("kind", sorted(REFERENCE_CURVES))
+    def test_geodesic_between(self, kind):
+        c0 = REFERENCE_CURVES[kind]()
+        c1 = stepped_curve(np.random.default_rng(15), 40, 3)
+        mix = 0.7 * tsrv(c0).values + 0.3 * tsrv(c1).values
+        ref = reference_inverse(np.eye(3), mix)
+        assert np.abs(geodesic_between(c0, c1, 0.3).points - ref).max() < 1e-13
+
+
 class TestReparametrization:
     def test_call_interpolates(self):
         phi = Reparametrization(values=np.array([0.0, 0.8, 1.0]))
