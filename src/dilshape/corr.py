@@ -27,6 +27,7 @@ from .errors import (
 DEFAULT_PSD_TOLERANCE = 1e-10
 REPAIR_EIGENVALUE_FLOOR = 1e-8
 SYMMETRY_RTOL = 1e-10
+TOEPLITZ_TOL = 1e-8
 
 # Steps simulated before sample 0 so the recursion forgets its zero start.
 _BURN_IN_FLOOR = 64
@@ -52,10 +53,6 @@ class CorrelationMatrix:
             raise NotSymmetric("entries must be exactly symmetric at construction")
         if not np.allclose(np.diag(e), 1.0, atol=1e-12):
             raise NonPositiveDiagonal("diagonal must be one at construction")
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
 
 
 @dataclass(frozen=True)
@@ -138,28 +135,26 @@ def validate_spd(matrix, psd_tolerance: float = DEFAULT_PSD_TOLERANCE) -> Correl
     return CorrelationMatrix(entries=_freeze(m))
 
 
-def is_toeplitz(matrix, tol: float = 1e-8) -> bool:
-    """True when every diagonal is constant to within ``tol`` (max minus min)."""
+def is_toeplitz(matrix) -> bool:
+    """True when every diagonal is constant to within TOEPLITZ_TOL (max minus min)."""
     e = getattr(matrix, "entries", matrix)
     n = e.shape[0]
     for lag in range(1, n):
         band = np.diagonal(e, offset=lag)
-        if float(band.max() - band.min()) > tol:
+        if float(band.max() - band.min()) > TOEPLITZ_TOL:
             return False
     return True
 
 
-def estimate_ensemble_correlation(data: RealizationSet, n: int,
-                                  psd_tolerance: float = DEFAULT_PSD_TOLERANCE,
-                                  repair: bool = True) -> CorrelationMatrix:
+def estimate_ensemble_correlation(data: RealizationSet, n: int) -> CorrelationMatrix:
     """Estimate the correlation of the first ``n`` coordinates of an ensemble.
 
     The raw estimate is the ensemble average of x[i]*x[j], rescaled to unit
     diagonal.  When the rescaled estimate fails the positive-definiteness
-    check and ``repair`` is set, eigenvalues are clipped at
-    ``REPAIR_EIGENVALUE_FLOOR``, the diagonal renormalized, and the result
-    flagged as repaired.  Caller-provided matrices are never repaired
-    silently; only this estimator takes the clipping path.
+    check (smallest eigenvalue above ``DEFAULT_PSD_TOLERANCE``), eigenvalues
+    are clipped at ``REPAIR_EIGENVALUE_FLOOR``, the diagonal renormalized,
+    and the result flagged as repaired.  Caller-provided matrices are never
+    repaired silently; only this estimator takes the clipping path.
 
     Raises
     ------
@@ -167,8 +162,6 @@ def estimate_ensemble_correlation(data: RealizationSet, n: int,
         Fewer than two realizations.
     DegenerateVariance
         Some coordinate is identically zero across the ensemble.
-    NotPositiveDefinite
-        Estimate is not PD and ``repair`` is disabled.
     """
     if data.count < 2:
         raise InsufficientRealizations(f"need at least 2 realizations, got {data.count}")
@@ -182,15 +175,13 @@ def estimate_ensemble_correlation(data: RealizationSet, n: int,
     inv = 1.0 / np.sqrt(d)
     corr = second_moment * np.outer(inv, inv)
     try:
-        return validate_spd(corr, psd_tolerance)
+        return validate_spd(corr)
     except NotPositiveDefinite:
-        if not repair:
-            raise
+        pass
     w, v = np.linalg.eigh(0.5 * (corr + corr.T))
     w = np.maximum(w, REPAIR_EIGENVALUE_FLOOR)
-    repaired = (v * w) @ v.T
-    result = validate_spd(repaired, psd_tolerance)
-    return dataclasses.replace(result, repaired=True)
+    repaired = validate_spd((v * w) @ v.T)
+    return dataclasses.replace(repaired, repaired=True)
 
 
 def gen_stationary_ar(a: float, n: int) -> CorrelationMatrix:

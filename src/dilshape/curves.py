@@ -18,6 +18,7 @@ from .errors import DimMismatch, GridMismatch, OutOfRange, WrongComponent
 from .liegroup import ensure_rotation, exp_group, log_group, project_skew
 
 CLOSURE_TOL = 1e-8
+IDENTITY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -56,8 +57,8 @@ class ManifoldCurve:
     def segments(self) -> int:
         return self.points.shape[0] - 1
 
-    def starts_at_identity(self, tol: float = 1e-8) -> bool:
-        return float(np.abs(self.points[0] - np.eye(self.dim)).max()) <= tol
+    def starts_at_identity(self) -> bool:
+        return float(np.abs(self.points[0] - np.eye(self.dim)).max()) <= IDENTITY_TOL
 
 
 def _stack(points) -> np.ndarray:
@@ -86,11 +87,11 @@ def sequence_from_curve(curve: ManifoldCurve) -> DilationSequence:
     return DilationSequence(matrices=_stack(mats), dim=curve.dim)
 
 
-def close_curve(curve: ManifoldCurve, tol: float = CLOSURE_TOL) -> ManifoldCurve:
+def close_curve(curve: ManifoldCurve) -> ManifoldCurve:
     """Mark a curve closed, appending the start when the ends do not meet."""
     pts = curve.points
     gap = float(np.abs(pts[-1] - pts[0]).max())
-    if gap <= tol:
+    if gap <= CLOSURE_TOL:
         new = np.concatenate([pts[:-1], pts[:1]], axis=0)
     else:
         new = np.concatenate([pts, pts[:1]], axis=0)

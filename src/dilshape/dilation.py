@@ -70,23 +70,6 @@ def givens(gamma: float, position: int, dim: int) -> np.ndarray:
     return out
 
 
-def extract_contraction(x: float, y: float, z: float) -> float:
-    """Contraction gamma with y = sqrt(x) * gamma * sqrt(z), x and z positive.
-
-    Values overshooting magnitude one by at most 1e-12 are clamped to the
-    boundary; anything larger raises NotAContraction.  A return value of
-    exactly +-1.0 therefore marks a boundary (degenerate) parameter.
-    """
-    if x <= 0.0 or z <= 0.0:
-        raise OutOfRange("x and z must be strictly positive")
-    value = y / (np.sqrt(x) * np.sqrt(z))
-    if abs(value) > 1.0 + BOUNDARY_TOL:
-        raise NotAContraction(f"|gamma| = {abs(value)} exceeds 1 beyond tolerance")
-    if abs(value) > 1.0:
-        value = np.copysign(1.0, value)
-    return float(value)
-
-
 @dataclass(frozen=True)
 class SchurParams:
     """Strictly upper triangular contraction parameters of a correlation matrix.
@@ -170,19 +153,6 @@ def _walk(gamma: np.ndarray):
         block = cols[:n - k, k + 1:]
         yield k, block
         _rotate(block, gamma[k, k + 1:])
-
-
-def schur_reconstruct_entry(params: SchurParams, k: int, j: int) -> float:
-    """Correlation entry (k, j), zero-based k < j, from the parameters alone.
-
-    The entry depends only on the parameters inside the window k..j, so it is
-    the corner of the matrix reconstructed from that sub-window.
-    """
-    n = params.n
-    if not (0 <= k < j < n):
-        raise TruncationWindowExceeded(f"need 0 <= k < j < {n}, got ({k}, {j})")
-    window = SchurParams.from_gamma(params.gamma[k:j + 1, k:j + 1])
-    return float(reconstruct_matrix(window)[0, -1])
 
 
 def reconstruct_matrix(params: SchurParams) -> np.ndarray:

@@ -18,6 +18,7 @@ from .errors import (
     NotOrthogonal,
     NotSkew,
     NotTangent,
+    OutOfRange,
     WrongComponent,
 )
 
@@ -38,6 +39,8 @@ def ensure_skew(m, tol: float = SKEW_TOL) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise DimMismatch(f"expected a square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise OutOfRange("matrix entries must be finite")
     scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1), initial=0.0))
     gap = np.abs(m + np.swapaxes(m, -1, -2)).max(axis=(-2, -1), initial=0.0)
     if (gap > tol * scale).any():
@@ -59,17 +62,12 @@ def ensure_rotation(g, tol: float = ORTHOGONALITY_TOL) -> np.ndarray:
     return g
 
 
-def component_sign(g) -> int:
-    """+1 for the identity component, -1 for the reflection component."""
-    return 1 if np.linalg.det(np.asarray(g, dtype=float)) > 0.0 else -1
-
-
 def exp_group(omega) -> np.ndarray:
     """Exponential of a skew matrix, or of each in a stack; lands on rotations."""
     return expm(ensure_skew(omega))
 
 
-def log_group(g, cut_margin: float = CUT_MARGIN) -> np.ndarray:
+def log_group(g) -> np.ndarray:
     """Principal logarithm of a rotation, or of each rotation in a stack.
 
     The symmetric part C = (g + g^T) / 2 and the skew part S = (g - g^T) / 2
@@ -84,7 +82,7 @@ def log_group(g, cut_margin: float = CUT_MARGIN) -> np.ndarray:
     WrongComponent
         det(g) = -1; no logarithm exists in the algebra.
     NearCutLocus
-        Some rotation angle is >= pi - cut_margin, where the principal
+        Some rotation angle is >= pi - CUT_MARGIN, where the principal
         branch becomes unstable.
     """
     g = ensure_rotation(g)
@@ -98,9 +96,8 @@ def log_group(g, cut_margin: float = CUT_MARGIN) -> np.ndarray:
     sin = np.sqrt(np.einsum("...ij,...ij->...j", sv, sv))
     theta = np.arctan2(sin, cos)
     worst = float(theta.max(initial=0.0))
-    if worst >= np.pi - cut_margin:
-        raise NearCutLocus(f"rotation angle {worst:.9f} within "
-                           f"{cut_margin:g} of pi")
+    if worst >= np.pi - CUT_MARGIN:
+        raise NearCutLocus(f"rotation angle {worst:.9f} within {CUT_MARGIN:g} of pi")
     f = np.divide(theta, sin, out=np.ones_like(theta), where=sin > 0.0)
     return project_skew((sv * f[..., None, :]) @ np.swapaxes(vecs, -1, -2))
 
@@ -147,13 +144,16 @@ def geodesic(g0, g1, s: float) -> np.ndarray:
     """Point at parameter s on the geodesic from g0 to g1.
 
     exp(s log(g1 g0^T)) g0; s = 0 and s = 1 give the endpoints, the speed
-    is constant, and the whole path stays in the group.
+    is constant, and the whole path stays in the group.  s must be finite.
     """
+    s = float(s)
+    if not np.isfinite(s):
+        raise OutOfRange(f"path parameter {s} is not finite")
     g0 = ensure_rotation(g0)
     g1 = ensure_rotation(g1)
     if g0.shape != g1.shape:
         raise DimMismatch(f"shapes {g0.shape} and {g1.shape} differ")
-    return exp_group(float(s) * log_group(g1 @ g0.T)) @ g0
+    return exp_group(s * log_group(g1 @ g0.T)) @ g0
 
 
 def geodesic_distance(g0, g1) -> float:

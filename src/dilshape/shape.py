@@ -92,19 +92,18 @@ def _floored(q: np.ndarray) -> np.ndarray:
     return _frozen(q)
 
 
-def tsrv(curve: ManifoldCurve, q_floor: float = Q_FLOOR) -> TsrvCurve:
+def tsrv(curve: ManifoldCurve) -> TsrvCurve:
     """Transform a curve to flat coordinates.
 
     Raises VanishingVelocity when any segment's q norm falls below
-    ``q_floor``: such a curve has no well-defined direction there and cannot
+    ``Q_FLOOR``: such a curve has no well-defined direction there and cannot
     be transformed faithfully.
     """
     q, vnorms = srv_values(curve)
-    qnorms = np.sqrt(vnorms)
-    bad = qnorms < q_floor
+    bad = np.sqrt(vnorms) < Q_FLOOR
     if bad.any():
         raise VanishingVelocity(
-            f"{int(bad.sum())} of {q.shape[0]} segments below q_floor {q_floor:g}")
+            f"{int(bad.sum())} of {q.shape[0]} segments below Q_FLOOR {Q_FLOOR:g}")
     return TsrvCurve(start=_frozen(curve.points[0]), values=_frozen(q))
 
 
@@ -363,22 +362,19 @@ def _aligned(q0: np.ndarray, q1: np.ndarray, grid: int):
     The lattice path of :func:`_dp_align` gives the global alignment.  It is
     lifted to REFINE_CELLS times as many cells, and :func:`_refine` moves its
     nodes to a nearby minimum of the same evaluation rule, which removes the
-    slope quantization of the lattice.  The identity, the lifted lattice
-    path and the refined path are scored by that rule on the fine nodes and
-    the lowest wins (ties to the earlier), so the result never exceeds the
-    plain curve gap.
+    slope quantization of the lattice.  The refinement starts from the
+    lifted path and takes only steps that lower the cost, so the lifted path
+    cannot score below it and is not scored.  The identity and the refined
+    path are scored by that rule on the fine nodes, and the refined path wins
+    only when strictly lower, so the result never exceeds the plain curve gap.
     """
     _, phi_dp = _dp_align(q0, q1, grid)
     cells = REFINE_CELLS * (phi_dp.size - 1)
     nodes = np.linspace(0.0, 1.0, cells + 1)
     phi_dp = np.interp(nodes, np.linspace(0.0, 1.0, phi_dp.size), phi_dp)
-    p0 = _pl_at(q0, (np.arange(cells) + 0.5) / cells)
-    sq_best, phi_best = _eval_warp_cost(q0, q1, nodes), nodes
-    for cand in (phi_dp, _refine(p0, q1, phi_dp)):
-        sq = _eval_warp_cost(q0, q1, cand)
-        if sq < sq_best:
-            sq_best, phi_best = sq, cand
-    return sq_best, phi_best
+    phi = _refine(_pl_at(q0, (np.arange(cells) + 0.5) / cells), q1, phi_dp)
+    sq, sq_identity = _eval_warp_cost(q0, q1, phi), _eval_warp_cost(q0, q1, nodes)
+    return (sq, phi) if sq < sq_identity else (sq_identity, nodes)
 
 
 def _q_or_degenerate(c: ManifoldCurve) -> np.ndarray:
@@ -386,6 +382,16 @@ def _q_or_degenerate(c: ManifoldCurve) -> np.ndarray:
     if not np.any(vnorms > 0.0):
         raise DegenerateCurve("curve has no nonvanishing velocity")
     return q
+
+
+def _flat_pair(c0: ManifoldCurve, c1: ManifoldCurve, grid: int):
+    """q values of two curves of one dim whose resolution the grid covers."""
+    if c0.dim != c1.dim:
+        raise DimMismatch(f"dims {c0.dim} and {c1.dim} differ")
+    if grid < max(c0.segments, c1.segments):
+        raise GridMismatch(f"grid {grid} below curve resolution "
+                           f"{max(c0.segments, c1.segments)}")
+    return _q_or_degenerate(c0), _q_or_degenerate(c1)
 
 
 def shape_distance(c0: ManifoldCurve, c1: ManifoldCurve,
@@ -396,15 +402,11 @@ def shape_distance(c0: ManifoldCurve, c1: ManifoldCurve,
     gap between q0 and (q1 o phi) sqrt(phi'): the lattice search over
     monotone paths with slopes between 1/3 and 3 gives the global warp, and
     a Levenberg-Marquardt search over piecewise-linear warps on six times as
-    many cells, slopes between e^-2 and e^2, refines it.  The warp has 6 G + 1 nodes, G the lattice size.
+    many cells, slopes between e^-2 and e^2, refines it.  The warp has
+    6 G + 1 nodes, G the lattice size.
     """
     _check_comparable(c0, c1, need_same_grid=False)
-    if grid < max(c0.segments, c1.segments):
-        raise GridMismatch(f"grid {grid} below curve resolution "
-                           f"{max(c0.segments, c1.segments)}")
-    q0 = _q_or_degenerate(c0)
-    q1 = _q_or_degenerate(c1)
-    sq, phi_nodes = _aligned(q0, q1, grid)
+    sq, phi_nodes = _aligned(*_flat_pair(c0, c1, grid), grid)
     return float(np.sqrt(sq)), Reparametrization(values=_frozen(phi_nodes))
 
 
@@ -416,17 +418,9 @@ def closed_shape_distance(c0: ManifoldCurve, c1: ManifoldCurve, grid: int) -> fl
     """
     if not (c0.closed and c1.closed):
         raise NotClosed("both curves must be closed")
-    if c0.dim != c1.dim:
-        raise DimMismatch(f"dims {c0.dim} and {c1.dim} differ")
-    if grid < max(c0.segments, c1.segments):
-        raise GridMismatch(f"grid {grid} below curve resolution "
-                           f"{max(c0.segments, c1.segments)}")
-    q0 = _q_or_degenerate(c0)
-    q1 = _q_or_degenerate(c1)
-    best = float("inf")
-    for shift in range(q1.shape[0]):
-        sq, _ = _aligned(q0, np.roll(q1, -shift, axis=0), grid)
-        best = min(best, sq)
+    q0, q1 = _flat_pair(c0, c1, grid)
+    best = min(_aligned(q0, np.roll(q1, -shift, axis=0), grid)[0]
+               for shift in range(q1.shape[0]))
     return float(np.sqrt(best))
 
 

@@ -314,9 +314,32 @@ def sequence_file(draw):
             "matrices": draw(spoiled(rotations(draw(st.integers(0, 6)))))}
 
 
+# Declared sizes past io.MAX_PARAMS_N: integers, and number tokens written
+# into the file verbatim (1e400 reads back as inf).  No junk string is long
+# enough to collide with a token.
+NUMBER_TOKENS = ("1e400", "1e30", "2.5e3")
+OVERSIZED_N = st.one_of(st.integers(io.MAX_PARAMS_N + 1, 10 ** 30),
+                        st.sampled_from(NUMBER_TOKENS))
+
+
+def dumps(payload):
+    """JSON text of ``payload`` with every number token unquoted."""
+    text = json.dumps(payload)
+    for token in NUMBER_TOKENS:
+        text = text.replace(json.dumps(token), token)
+    return text
+
+
+def oversized(n):
+    """True when a parameter file's 'n' field declares a size past the cap."""
+    if isinstance(n, str):
+        return n in NUMBER_TOKENS
+    return isinstance(n, (int, float)) and not isinstance(n, bool) and n > io.MAX_PARAMS_N
+
+
 @st.composite
 def params_file(draw):
-    n = draw(st.integers(-1, 7))
+    n = draw(st.one_of(st.integers(-1, 7), st.integers(-1, 7), OVERSIZED_N))
     entry = st.tuples(st.integers(-1, 7), st.integers(-1, 7),
                       st.floats(-1.1, 1.1)).map(list)
     pairs = st.lists(st.tuples(st.integers(-1, 7), st.integers(-1, 7)).map(list),
@@ -346,7 +369,11 @@ def file_of(kind):
 
 
 class TestLoaderFuzz:
-    """Random curve, sequence, parameter and matrix files through five commands."""
+    """Random curve, sequence, parameter and matrix files through five commands.
+
+    A parameter file that declares a size past io.MAX_PARAMS_N exits 5 from
+    dilate and writes nothing.
+    """
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(curves=st.lists(file_of(curve_file), min_size=2, max_size=2),
@@ -360,7 +387,7 @@ class TestLoaderFuzz:
             tmp = Path(tmp)
 
             def write(name, payload):
-                (tmp / name).write_text(json.dumps(payload))
+                (tmp / name).write_text(dumps(payload))
                 return tmp / name
 
             c0, c1 = (write(f"c{k}.json", c) for k, c in enumerate(curves))
@@ -372,5 +399,10 @@ class TestLoaderFuzz:
                  *(["--full"] if full else [])),
                 ("parcors", write("m.json", matrix), "-o", tmp / "q.json"),
             ]
+            codes = {}
             for argv in calls:
-                assert run("--quiet", *argv) in {0, 2, 3, 4, 5}, argv
+                codes[argv[0]] = run("--quiet", *argv)
+                assert codes[argv[0]] in {0, 2, 3, 4, 5}, argv
+            if isinstance(params, dict) and oversized(params.get("n")):
+                assert codes["dilate"] == 5
+                assert not (tmp / "d.json").exists()

@@ -111,8 +111,6 @@ class TestEnsembleEstimate:
         est = corr.estimate_ensemble_correlation(data, 8)
         assert est.repaired
         assert np.linalg.eigvalsh(est.entries).min() > 0.0
-        with pytest.raises(NotPositiveDefinite):
-            corr.estimate_ensemble_correlation(data, 8, repair=False)
 
     def test_prefix_length_bounds(self):
         data = corr.RealizationSet(samples=np.random.default_rng(1).standard_normal((16, 4)))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dilshape import dilation
 from dilshape.dilation import SchurParams
@@ -56,14 +58,6 @@ class TestElementaryBlocks:
             dilation.givens(0.5, 2, 3)
         with pytest.raises(BadPosition):
             dilation.givens(0.5, 0, 1)
-
-    def test_extract_contraction(self):
-        assert dilation.extract_contraction(4.0, 1.2, 1.0) == pytest.approx(0.6)
-        assert dilation.extract_contraction(1.0, 1.0 + 5e-13, 1.0) == 1.0
-        with pytest.raises(NotAContraction):
-            dilation.extract_contraction(1.0, 1.1, 1.0)
-        with pytest.raises(OutOfRange):
-            dilation.extract_contraction(0.0, 0.5, 1.0)
 
 
 class TestSchurParams:
@@ -124,10 +118,13 @@ class TestExtraction:
             assert np.abs(back.gamma - g).max() < 1e-12
 
     def test_entry_reconstruction_matches_matrix(self):
+        # Entry (k, j) depends only on the parameters inside the window k..j,
+        # so it is the corner of the matrix reconstructed from that window.
         p = dilation.extract_schur_params(R4)
         for k in range(4):
             for j in range(k + 1, 4):
-                assert dilation.schur_reconstruct_entry(p, k, j) == pytest.approx(
+                window = SchurParams.from_gamma(p.gamma[k:j + 1, k:j + 1])
+                assert dilation.reconstruct_matrix(window)[0, -1] == pytest.approx(
                     R4[k, j], abs=1e-12)
 
     def test_degenerate_entries_are_flagged_not_amplified(self):
@@ -219,6 +216,60 @@ class TestWalk:
             for l in range(1, dim):
                 ref = ref @ dilation.givens(padded[i, i + l], l - 1, dim)
             assert np.abs(w - ref).max() < 1e-14
+
+
+def random_gamma(seed, n, bound, units=0):
+    """Strict upper triangle uniform in [-bound, bound], with ``units`` entries
+    at random positions (repeats allowed) set to +-1."""
+    rng = np.random.default_rng(seed)
+    g = np.triu(rng.uniform(-bound, bound, (n, n)), 1)
+    rows, cols = np.triu_indices(n, 1)
+    pick = rng.integers(0, rows.size, units)
+    g[rows[pick], cols[pick]] = rng.choice([-1.0, 1.0], units)
+    return g
+
+
+# Parameter sets holding boundary entries: n <= 12, the rest |gamma| <= 0.5.
+UNIT_SETS = dict(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 12),
+                 units=st.integers(1, 4))
+
+
+class TestParcorProperties:
+    """The contracts of the parcor recursion on random parameter sets.
+
+    Interior sets stay within n <= 64 at |gamma| <= 0.5 and n <= 8 at
+    |gamma| <= 0.99: at n = 64 with |gamma| <= 0.9 the reconstructed matrix
+    is numerically singular and extraction rightly refuses it.
+    """
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           size=st.one_of(st.tuples(st.integers(1, 64), st.just(0.5)),
+                          st.tuples(st.integers(1, 8), st.just(0.99))))
+    def test_interior_parameters_round_trip(self, seed, size):
+        g = random_gamma(seed, *size)
+        r = dilation.reconstruct_matrix(SchurParams.from_gamma(g))
+        p = dilation.extract_schur_params(r)
+        assert np.abs(p.gamma - g).max() <= 1e-9
+        assert not p.boundary.any() and not p.degenerate.any()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(**UNIT_SETS)
+    def test_boundary_sets_reconstruct(self, seed, n, units):
+        r = dilation.reconstruct_matrix(
+            SchurParams.from_gamma(random_gamma(seed, n, 0.5, units)))
+        p = dilation.extract_schur_params(r)
+        assert np.abs(dilation.reconstruct_matrix(p) - r).max() <= 1e-9
+        assert (p.gamma[p.degenerate] == 0.0).all()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(**UNIT_SETS)
+    def test_boundary_sets_dilate_to_entries(self, seed, n, units):
+        p = SchurParams.from_gamma(random_gamma(seed, n, 0.5, units))
+        r = dilation.reconstruct_matrix(p)
+        seq = dilation.build_dilation_sequence(p, n, full=True)
+        for i, j in dilation.reconstructible_window(seq):
+            assert abs(dilation.reconstruct_correlation(seq, i, j) - r[i, j]) <= 1e-12
 
 
 class TestDilationSequence:

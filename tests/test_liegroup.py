@@ -11,6 +11,7 @@ from dilshape.errors import (
     NotOrthogonal,
     NotSkew,
     NotTangent,
+    OutOfRange,
     WrongComponent,
 )
 
@@ -41,9 +42,15 @@ class TestAlgebraChecks:
         with pytest.raises(NotOrthogonal):
             liegroup.ensure_rotation(g)
 
-    def test_component_sign(self):
-        assert liegroup.component_sign(np.eye(3)) == 1
-        assert liegroup.component_sign(np.diag([1.0, 1.0, -1.0])) == -1
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("call", [
+        lambda x: liegroup.ensure_skew(np.array([[0.0, x], [-x, 0.0]])),
+        lambda x: liegroup.exp_group(np.full((3, 3), x)),
+        lambda x: liegroup.geodesic(np.eye(2), so2(0.5), x),
+    ], ids=["ensure_skew", "exp_group", "geodesic"])
+    def test_non_finite_input_is_out_of_range(self, call, bad):
+        with pytest.raises(OutOfRange):
+            call(bad)
 
 
 class TestExpLog:
