@@ -99,11 +99,9 @@ def cmd_dist(args) -> int:
             if args.mode == "curve":
                 value = shape.curve_distance(cs[a], cs[b])
             elif args.mode == "closed":
-                grid = args.grid or 2 * max(cs[a].segments, cs[b].segments)
-                value = shape.closed_shape_distance(cs[a], cs[b], grid)
+                value = shape.closed_shape_distance(cs[a], cs[b], args.grid)
             else:
-                grid = args.grid or 2 * max(cs[a].segments, cs[b].segments)
-                value, _ = shape.shape_distance(cs[a], cs[b], grid)
+                value, _ = shape.shape_distance(cs[a], cs[b], args.grid)
             out[a, b] = out[b, a] = value
     if args.output:
         io.save_distance_matrix(args.output, names, out)
@@ -119,8 +117,7 @@ def cmd_dist(args) -> int:
 def cmd_mean(args) -> int:
     named = _load_curves(args.curves, args.resample)
     cs = [c for _, c in named]
-    grid = args.grid or 2 * cs[0].segments
-    mean = shape.karcher_mean(cs, iters=args.iters, grid=grid)
+    mean = shape.karcher_mean(cs, iters=args.iters, grid=args.grid)
     io.save_curve(args.output, mean)
     _say(args, f"wrote mean curve with {mean.num_points} points to {args.output}")
     return EXIT_OK
@@ -153,6 +150,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--quiet", action="store_true",
                         help="suppress informational output")
     sub = parser.add_subparsers(dest="command", required=True)
+    grid_help = ("alignment resolution, at least the finest segment count (default "
+                 "twice it); a smaller grid, 0 included, exits 4, and curves of "
+                 "different dims exit 2")
 
     p = sub.add_parser("parcors", help="extract contraction parameters from a matrix")
     p.add_argument("input", help="correlation matrix file")
@@ -191,8 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("shape", "curve", "closed"), default="shape",
                    help="shape minimizes over reparametrizations, curve does "
                         "not, closed also minimizes over starting points")
-    p.add_argument("--grid", type=int,
-                   help="alignment resolution (default twice the segment count)")
+    p.add_argument("--grid", type=int, help=grid_help)
     p.add_argument("--resample", type=int,
                    help="spline-resample every curve to this many segments first")
     p.add_argument("-o", "--output",
@@ -202,8 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("curves", nargs="+", help="curve files to average")
     p.add_argument("--iters", type=int, default=24,
                    help="alignment and averaging rounds")
-    p.add_argument("--grid", type=int,
-                   help="alignment resolution (default twice the segment count)")
+    p.add_argument("--grid", type=int, help=grid_help)
     p.add_argument("--resample", type=int,
                    help="spline-resample every curve to this many segments first")
     p.add_argument("-o", "--output", required=True, help="curve file destination")

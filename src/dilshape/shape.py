@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dptsv
 
-from .curves import ManifoldCurve, srv_values
+from .curves import ManifoldCurve, _stack, srv_values
 from .errors import (
     DegenerateCurve,
     DimMismatch,
@@ -79,19 +79,6 @@ class Reparametrization:
         return np.interp(t, grid, self.values)
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
-    a.setflags(write=False)
-    return a
-
-
-def _floored(q: np.ndarray) -> np.ndarray:
-    """Frozen copy of q values with every segment below Q_FLOOR set to zero."""
-    q = np.array(q, dtype=float)
-    q[np.sqrt(np.einsum("kij,kij->k", q, q)) < Q_FLOOR] = 0.0
-    return _frozen(q)
-
-
 def tsrv(curve: ManifoldCurve) -> TsrvCurve:
     """Transform a curve to flat coordinates.
 
@@ -104,7 +91,7 @@ def tsrv(curve: ManifoldCurve) -> TsrvCurve:
     if bad.any():
         raise VanishingVelocity(
             f"{int(bad.sum())} of {q.shape[0]} segments below Q_FLOOR {Q_FLOOR:g}")
-    return TsrvCurve(start=_frozen(curve.points[0]), values=_frozen(q))
+    return TsrvCurve(start=_stack(curve.points[0]), values=_stack(q))
 
 
 def tsrv_inverse(t: TsrvCurve) -> ManifoldCurve:
@@ -121,23 +108,47 @@ def tsrv_inverse(t: TsrvCurve) -> ManifoldCurve:
     pts[0] = t.start
     for k, step in enumerate(steps):
         pts[k + 1] = step @ pts[k]
-    return ManifoldCurve(points=_frozen(pts), closed=False, base=None)
+    return ManifoldCurve(points=_stack(pts), closed=False, base=None)
 
 
-def _check_comparable(c0: ManifoldCurve, c1: ManifoldCurve, need_same_grid: bool):
-    if c0.dim != c1.dim:
-        raise DimMismatch(f"dims {c0.dim} and {c1.dim} differ")
-    if need_same_grid and c0.segments != c1.segments:
-        raise GridMismatch(f"grids {c0.segments} and {c1.segments} differ")
-    for c in (c0, c1):
-        if not c.starts_at_identity():
-            raise GridMismatch("curves must start at the identity; "
-                               "translate before comparing")
+def _from_identity(q: np.ndarray) -> ManifoldCurve:
+    """Integrate q values from the identity; segments below Q_FLOOR hold still."""
+    q = np.array(q, dtype=float)
+    q[np.sqrt(np.einsum("kij,kij->k", q, q)) < Q_FLOOR] = 0.0
+    return tsrv_inverse(TsrvCurve(start=_stack(np.eye(q.shape[1])), values=_stack(q)))
+
+
+def _admitted(curves, grid: int | None = None, closed: bool = False,
+              shared: bool = True) -> int:
+    """Alignment grid of a comparison, once the curves are found comparable.
+
+    Checks, in order: at least one curve, every curve closed when ``closed``,
+    one dim, one segment count when ``shared``, and an identity start unless
+    ``closed``.  The grid defaults to twice the finest segment count and may
+    not fall below it.
+    """
+    if not curves:
+        raise GridMismatch("no curves to compare")
+    if closed and not all(c.closed for c in curves):
+        raise NotClosed("curves must be closed")
+    dims = sorted({c.dim for c in curves})
+    if len(dims) > 1:
+        raise DimMismatch(f"curve dims {dims} differ")
+    segments = sorted({c.segments for c in curves})
+    if shared and len(segments) > 1:
+        raise GridMismatch(f"segment counts {segments} differ; resample first")
+    if not closed and not all(c.starts_at_identity() for c in curves):
+        raise GridMismatch("curves must start at the identity; translate before comparing")
+    finest = segments[-1]
+    grid = 2 * finest if grid is None else grid
+    if grid < finest:
+        raise GridMismatch(f"grid {grid} below curve resolution {finest}")
+    return grid
 
 
 def curve_distance(c0: ManifoldCurve, c1: ManifoldCurve) -> float:
     """Parametrization-sensitive distance: L2 gap of the q sequences."""
-    _check_comparable(c0, c1, need_same_grid=True)
+    _admitted([c0, c1])
     q0, _ = srv_values(c0)
     q1, _ = srv_values(c1)
     n = q0.shape[0]
@@ -152,11 +163,8 @@ def geodesic_between(c0: ManifoldCurve, c1: ManifoldCurve, s: float) -> Manifold
     Interpolated segments whose q norm collapses below the floor contribute
     no motion instead of failing.
     """
-    _check_comparable(c0, c1, need_same_grid=True)
-    q0 = tsrv(c0)
-    q1 = tsrv(c1)
-    mix = (1.0 - s) * q0.values + s * q1.values
-    return tsrv_inverse(TsrvCurve(start=_frozen(np.eye(c0.dim)), values=_floored(mix)))
+    _admitted([c0, c1])
+    return _from_identity((1.0 - s) * tsrv(c0).values + s * tsrv(c1).values)
 
 
 def _pl_index(n: int, positions: np.ndarray):
@@ -243,21 +251,6 @@ def _dp_align(q0: np.ndarray, q1: np.ndarray, grid: int):
     return max(float(dist[g, g]), 0.0), phi_nodes
 
 
-def _eval_warp_cost(q0: np.ndarray, q1: np.ndarray, phi_nodes: np.ndarray) -> float:
-    """Discretized warped q-gap for a piecewise-linear phi on uniform nodes.
-
-    Uses the same midpoint rule and piecewise-linear reads as the lattice
-    search, so evaluating a DP path reproduces its DP cost to roundoff.
-    """
-    g = phi_nodes.size - 1
-    p0 = _pl_at(q0, (np.arange(g) + 0.5) / g)
-    phi_mid = 0.5 * (phi_nodes[:-1] + phi_nodes[1:])
-    p1 = _pl_at(q1, phi_mid)
-    sigma = np.maximum(np.diff(phi_nodes) * g, 0.0)
-    gap = p0 - np.sqrt(sigma)[:, None] * p1
-    return max(float(np.einsum("md,md->m", gap, gap).mean()), 0.0)
-
-
 def _residuals(phi: np.ndarray, p0: np.ndarray, q1: np.ndarray):
     """Cell gaps p0_m - sqrt(s_m) q1(mid_m) of a warp, its slopes s_m, and each
     gap's derivatives in its cell's left and right node.  ``p0`` holds the q0
@@ -275,6 +268,17 @@ def _residuals(phi: np.ndarray, p0: np.ndarray, q1: np.ndarray):
     by_mid = (-0.5 * n1 * inside * root)[:, None] * delta
     by_slope = (0.5 * cells / root)[:, None] * p1
     return p0 - root[:, None] * p1, s, by_mid + by_slope, by_mid - by_slope
+
+
+def _scored(phi: np.ndarray, p0: np.ndarray, q1: np.ndarray):
+    """Score of a warp, the mean squared cell gap, and its residuals.
+
+    Every warp is scored by this rule.  It uses the midpoint rule and the
+    piecewise-linear reads of the lattice search, so on a lattice path's
+    nodes it reproduces the path's lattice cost to roundoff.
+    """
+    res = _residuals(phi, p0, q1)
+    return float(np.einsum("md,md->", res[0], res[0])) / res[1].size, res
 
 
 def _normal_system(gap, dl, dr):
@@ -316,17 +320,16 @@ def _bounded_warp(s: np.ndarray) -> np.ndarray:
     return phi
 
 
-def _refine(p0: np.ndarray, q1: np.ndarray, phi_nodes: np.ndarray) -> np.ndarray:
+def _refine(p0: np.ndarray, q1: np.ndarray, phi_nodes: np.ndarray):
     """Levenberg-Marquardt refinement of a warp over its interior nodes.
 
     Each gap depends on its cell's two nodes, so the damped Gauss-Newton system
     is tridiagonal.  A slope on a bound that the step would cross ties its
     cell's nodes into one group.  The start's slopes must lie in the bounds;
-    only steps that lower the cost are taken.
+    only steps that lower the score are taken.  Returns (warp, score).
     """
     phi = phi_nodes
-    gap, s, dl, dr = _residuals(phi, p0, q1)
-    cost = float(np.einsum("md,md->", gap, gap)) / s.size
+    cost, (gap, s, dl, dr) = _scored(phi, p0, q1)
     diag, off, grad = _normal_system(gap, dl, dr)
     lam = 1e-3 * max(diag.max(), 1.0)
     for _ in range(REFINE_ITERS):
@@ -342,8 +345,7 @@ def _refine(p0: np.ndarray, q1: np.ndarray, phi_nodes: np.ndarray) -> np.ndarray
             lam *= 4.0
             continue
         new_phi = _bounded_warp(s + ds * s.size)
-        new = _residuals(new_phi, p0, q1)
-        new_cost = float(np.einsum("md,md->", new[0], new[0])) / s.size
+        new_cost, new = _scored(new_phi, p0, q1)
         change = cost - new_cost
         if change > 0.0:
             phi, cost, (gap, s, dl, dr) = new_phi, new_cost, new
@@ -353,27 +355,27 @@ def _refine(p0: np.ndarray, q1: np.ndarray, phi_nodes: np.ndarray) -> np.ndarray
             lam *= 4.0
         if abs(change) < REFINE_FTOL * max(cost, 1.0):
             break
-    return phi
+    return phi, cost
 
 
 def _aligned(q0: np.ndarray, q1: np.ndarray, grid: int):
-    """Best warp: the lattice search, then one node refinement of it.
+    """Best warp and its score: the lattice search, then one node refinement.
 
     The lattice path of :func:`_dp_align` gives the global alignment.  It is
     lifted to REFINE_CELLS times as many cells, and :func:`_refine` moves its
     nodes to a nearby minimum of the same evaluation rule, which removes the
     slope quantization of the lattice.  The refinement starts from the
-    lifted path and takes only steps that lower the cost, so the lifted path
-    cannot score below it and is not scored.  The identity and the refined
-    path are scored by that rule on the fine nodes, and the refined path wins
-    only when strictly lower, so the result never exceeds the plain curve gap.
+    lifted path and takes only steps that lower the score, so the lifted path
+    cannot score below it and is not scored.  The identity is scored by
+    :func:`_scored` on the same fine cells, and the refined path wins only
+    when strictly lower, so the result never exceeds the plain curve gap.
     """
     _, phi_dp = _dp_align(q0, q1, grid)
     cells = REFINE_CELLS * (phi_dp.size - 1)
     nodes = np.linspace(0.0, 1.0, cells + 1)
-    phi_dp = np.interp(nodes, np.linspace(0.0, 1.0, phi_dp.size), phi_dp)
-    phi = _refine(_pl_at(q0, (np.arange(cells) + 0.5) / cells), q1, phi_dp)
-    sq, sq_identity = _eval_warp_cost(q0, q1, phi), _eval_warp_cost(q0, q1, nodes)
+    p0 = _pl_at(q0, (np.arange(cells) + 0.5) / cells)
+    phi, sq = _refine(p0, q1, np.interp(nodes, np.linspace(0.0, 1.0, phi_dp.size), phi_dp))
+    sq_identity, _ = _scored(nodes, p0, q1)
     return (sq, phi) if sq < sq_identity else (sq_identity, nodes)
 
 
@@ -384,18 +386,8 @@ def _q_or_degenerate(c: ManifoldCurve) -> np.ndarray:
     return q
 
 
-def _flat_pair(c0: ManifoldCurve, c1: ManifoldCurve, grid: int):
-    """q values of two curves of one dim whose resolution the grid covers."""
-    if c0.dim != c1.dim:
-        raise DimMismatch(f"dims {c0.dim} and {c1.dim} differ")
-    if grid < max(c0.segments, c1.segments):
-        raise GridMismatch(f"grid {grid} below curve resolution "
-                           f"{max(c0.segments, c1.segments)}")
-    return _q_or_degenerate(c0), _q_or_degenerate(c1)
-
-
 def shape_distance(c0: ManifoldCurve, c1: ManifoldCurve,
-                   grid: int) -> tuple[float, Reparametrization]:
+                   grid: int | None) -> tuple[float, Reparametrization]:
     """Reparametrization-minimized distance and the optimizing warp.
 
     The warp applies to c1: the returned phi minimizes the flat-coordinate
@@ -403,22 +395,23 @@ def shape_distance(c0: ManifoldCurve, c1: ManifoldCurve,
     monotone paths with slopes between 1/3 and 3 gives the global warp, and
     a Levenberg-Marquardt search over piecewise-linear warps on six times as
     many cells, slopes between e^-2 and e^2, refines it.  The warp has
-    6 G + 1 nodes, G the lattice size.
+    6 G + 1 nodes, G the lattice size; a ``grid`` of None means twice the
+    finer curve's segment count.
     """
-    _check_comparable(c0, c1, need_same_grid=False)
-    sq, phi_nodes = _aligned(*_flat_pair(c0, c1, grid), grid)
-    return float(np.sqrt(sq)), Reparametrization(values=_frozen(phi_nodes))
+    grid = _admitted([c0, c1], grid, shared=False)
+    sq, phi_nodes = _aligned(_q_or_degenerate(c0), _q_or_degenerate(c1), grid)
+    return float(np.sqrt(sq)), Reparametrization(values=_stack(phi_nodes))
 
 
-def closed_shape_distance(c0: ManifoldCurve, c1: ManifoldCurve, grid: int) -> float:
+def closed_shape_distance(c0: ManifoldCurve, c1: ManifoldCurve,
+                          grid: int | None) -> float:
     """Shape distance of closed curves, minimized over starting points.
 
     Cyclically rotating a closed curve's samples only rotates its q
     sequence, so the minimum runs the alignment once per shift of c1.
     """
-    if not (c0.closed and c1.closed):
-        raise NotClosed("both curves must be closed")
-    q0, q1 = _flat_pair(c0, c1, grid)
+    grid = _admitted([c0, c1], grid, closed=True, shared=False)
+    q0, q1 = _q_or_degenerate(c0), _q_or_degenerate(c1)
     best = min(_aligned(q0, np.roll(q1, -shift, axis=0), grid)[0]
                for shift in range(q1.shape[0]))
     return float(np.sqrt(best))
@@ -439,25 +432,16 @@ def warp_tsrv(q: np.ndarray, phi: Reparametrization) -> np.ndarray:
 
 
 def karcher_mean(curves: list[ManifoldCurve], iters: int = 24,
-                 grid: int | None = None, tol: float = KARCHER_TOL) -> ManifoldCurve:
+                 grid: int | None = None) -> ManifoldCurve:
     """Elastic mean of a family of curves on a common grid.
 
     Alternates aligning every curve to the current mean (through the shape
     warp) with averaging the aligned flat coordinates, and integrates the
     converged average back to a curve.  Stops when the mean's q values move
-    less than ``tol`` or after ``iters`` rounds.
+    less than ``KARCHER_TOL`` or after ``iters`` rounds.  ``grid`` defaults
+    to twice the curves' segment count.
     """
-    if not curves:
-        raise GridMismatch("mean of an empty family")
-    n = curves[0].segments
-    d = curves[0].dim
-    for c in curves:
-        if c.segments != n or c.dim != d:
-            raise GridMismatch("curves must share grid and dim; resample first")
-        if not c.starts_at_identity():
-            raise GridMismatch("curves must start at the identity")
-    if grid is None:
-        grid = 2 * n
+    grid = _admitted(curves, grid)
     qs = [_q_or_degenerate(c) for c in curves]
     qbar = np.mean(qs, axis=0)
     if len(curves) > 1:
@@ -470,6 +454,6 @@ def karcher_mean(curves: list[ManifoldCurve], iters: int = 24,
             new = np.mean(aligned, axis=0)
             delta = float(np.abs(new - qbar).max())
             qbar = new
-            if delta < tol:
+            if delta < KARCHER_TOL:
                 break
-    return tsrv_inverse(TsrvCurve(start=_frozen(np.eye(d)), values=_floored(qbar)))
+    return _from_identity(qbar)

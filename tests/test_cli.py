@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from conftest import stepped_curve
 from dilshape import io
 from dilshape.cli import main
 
@@ -205,6 +206,39 @@ class TestExitCodes:
         assert run("dilate", params, "--dim", 9, "-o", tmp_path / "c.json") == 4
 
 
+class TestComparisonAdmission:
+    """dist and mean admit curves and grids by one rule."""
+
+    @staticmethod
+    def write_curves(tmp_path, *dims):
+        rng = np.random.default_rng(31)
+        paths = []
+        for k, d in enumerate(dims):
+            paths.append(tmp_path / f"c{k}.json")
+            io.save_curve(paths[-1], stepped_curve(rng, 10, d))
+        return paths
+
+    @pytest.mark.parametrize("grid", [-20, -5, 0, 5])
+    def test_mean_grid_below_resolution(self, tmp_path, capsys, grid):
+        curves = self.write_curves(tmp_path, 3, 3)
+        capsys.readouterr()
+        code = run("mean", *curves, "--grid", grid, "-o", tmp_path / "m.json")
+        err = capsys.readouterr().err
+        assert code == 4, err
+        assert err.startswith("window/grid error:")
+        assert "Traceback" not in err
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("argv", [("dist",), ("dist", "--mode", "curve"),
+                                      ("mean", "-o", "m.json")])
+    def test_dim_mismatch_is_validation(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        c6, c5 = self.write_curves(tmp_path, 6, 5)
+        capsys.readouterr()
+        assert run(argv[0], c6, c5, *argv[1:]) == 2
+        assert capsys.readouterr().err.startswith("validation error:")
+
+
 class TestMalformedFiles:
     """Loader failures exit 5 (or 2 for a contract breach), never a traceback."""
 
@@ -380,9 +414,10 @@ class TestLoaderFuzz:
            sequence=st.one_of(file_of(sequence_file), file_of(curve_file)),
            params=file_of(params_file), matrix=file_of(matrix_file),
            dim=st.integers(1, 8), full=st.booleans(),
-           mode=st.sampled_from(["shape", "curve", "closed"]))
+           mode=st.sampled_from(["shape", "curve", "closed"]),
+           grid=st.one_of(st.none(), st.integers(-30, 40)))
     def test_exit_codes_are_documented(self, curves, sequence, params, matrix,
-                                       dim, full, mode):
+                                       dim, full, mode, grid):
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
 
@@ -391,9 +426,10 @@ class TestLoaderFuzz:
                 return tmp / name
 
             c0, c1 = (write(f"c{k}.json", c) for k, c in enumerate(curves))
+            grid_arg = [] if grid is None else ["--grid", grid]
             calls = [
-                ("dist", c0, c1, "--mode", mode),
-                ("mean", c0, c1, "--iters", 2, "-o", tmp / "mean.json"),
+                ("dist", c0, c1, "--mode", mode, *grid_arg),
+                ("mean", c0, c1, "--iters", 2, "-o", tmp / "mean.json", *grid_arg),
                 ("reconstruct", write("s.json", sequence), "-o", tmp / "r.csv"),
                 ("dilate", write("p.json", params), "--dim", dim, "-o", tmp / "d.json",
                  *(["--full"] if full else [])),

@@ -73,8 +73,11 @@ class TestParamsFile:
         argv = ["dilate", str(path), "--dim", "2", "-o", str(tmp_path / "c.json")]
         src = Path(dilshape.__file__).resolve().parents[1]
         out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
-                             text=True, check=True,
-                             env={**os.environ, "PYTHONPATH": str(src)})
+                             text=True, env={**os.environ, "PYTHONPATH": str(src)})
+        report = (f"process exit {out.returncode}, stdout {out.stdout!r}, "
+                  f"stderr {out.stderr!r}")
+        assert out.returncode == 0, report
         status, peak_kb = map(int, out.stdout.split())
-        assert status == 5
-        assert peak_kb < 150 * 1024
+        report = f"status {status}, peak {peak_kb} KB, stderr {out.stderr!r}"
+        assert status == 5, report
+        assert peak_kb < 150 * 1024, report

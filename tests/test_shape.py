@@ -37,6 +37,12 @@ from dilshape.shape import (
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
+def warp_score(q0, q1, phi):
+    """Score of warp nodes phi of q1 against q0, on the cells they span."""
+    cells = phi.size - 1
+    return shape._scored(phi, shape._pl_at(q0, (np.arange(cells) + 0.5) / cells), q1)[0]
+
+
 def so2_curve(theta_fn, n):
     pts = np.stack([expm(theta_fn(k / n) * J2) for k in range(n + 1)])
     return ManifoldCurve(points=pts)
@@ -222,7 +228,7 @@ class TestLatticeSearchMatchesExhaustive:
             sq, path = shape._dp_align(q0, q1, n)
             ref = exhaustive_lattice_min(q0, q1, n, DP_STEPS)
             assert sq == pytest.approx(ref, abs=1e-12)
-            assert shape._eval_warp_cost(q0, q1, path) == pytest.approx(sq, abs=1e-12)
+            assert warp_score(q0, q1, path) == pytest.approx(sq, abs=1e-12)
 
     def test_matches_for_unequal_segment_counts(self):
         rng = np.random.default_rng(21)
@@ -231,7 +237,7 @@ class TestLatticeSearchMatchesExhaustive:
         sq, path = shape._dp_align(q0, q1, 8)
         ref = exhaustive_lattice_min(q0, q1, 8, DP_STEPS)
         assert sq == pytest.approx(ref, abs=1e-12)
-        assert shape._eval_warp_cost(q0, q1, path) == pytest.approx(sq, abs=1e-12)
+        assert warp_score(q0, q1, path) == pytest.approx(sq, abs=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 7])
     def test_piecewise_linear_read_matches_interp(self, n):
@@ -256,8 +262,10 @@ class TestRefinement:
             phi = np.concatenate(([0.0], np.cumsum(slopes) / slopes.sum()))
             gap, s, d_left, d_right = shape._residuals(phi, p0, q1)
             assert np.abs(s - np.diff(phi) * cells).max() < 1e-12
+            read = shape._pl_at(q1, 0.5 * (phi[:-1] + phi[1:]))
+            assert np.abs(gap - (p0 - np.sqrt(s)[:, None] * read)).max() < 1e-12
             assert np.einsum("md,md->m", gap, gap).mean() == pytest.approx(
-                shape._eval_warp_cost(q0, q1, phi), abs=1e-12)
+                shape._scored(phi, p0, q1)[0], abs=1e-12)
             # Moving node j changes only the gaps of cells j - 1 and j.
             h = 1e-6
             fd = np.array([(shape._residuals(phi + h * e, p0, q1)[0]
@@ -276,7 +284,7 @@ class TestRefinement:
         q1 = tsrv(smooth_curve(nodes ** power)).values
         cells = 120
         p0 = shape._pl_at(q0, (np.arange(cells) + 0.5) / cells)
-        phi = shape._refine(p0, q1, np.linspace(0.0, 1.0, cells + 1))
+        phi, _ = shape._refine(p0, q1, np.linspace(0.0, 1.0, cells + 1))
         s = np.diff(phi) * cells
         assert phi[0] == 0.0 and phi[-1] == 1.0
         assert s.min() >= (1.0 - 1e-9) / shape.SLOPE_BOUND
@@ -296,9 +304,9 @@ class TestRefinement:
             slopes = np.exp(rng.uniform(-0.9, 0.9, cells))
             start = np.concatenate(([0.0], np.cumsum(slopes) / slopes.sum()))
             start[-1] = 1.0
-            phi = shape._refine(p0, q1, start)
-            assert (shape._eval_warp_cost(q0, q1, phi)
-                    <= shape._eval_warp_cost(q0, q1, start))
+            phi, cost = shape._refine(p0, q1, start)
+            assert cost == shape._scored(phi, p0, q1)[0]
+            assert cost <= shape._scored(start, p0, q1)[0]
 
     @pytest.mark.parametrize("n0, n1, grid", [
         (1, 1, 1), (1, 2, 2), (2, 1, 2), (1, 3, 3), (3, 1, 3),
@@ -412,3 +420,14 @@ class TestKarcherMean:
             karcher_mean([stepped_curve(rng, 5, 3), stepped_curve(rng, 6, 3)])
         with pytest.raises(GridMismatch):
             karcher_mean([])
+
+    @pytest.mark.parametrize("grid", [0, -5, 9])
+    def test_rejects_grid_below_resolution(self, grid):
+        rng = np.random.default_rng(26)
+        with pytest.raises(GridMismatch):
+            karcher_mean([stepped_curve(rng, 10, 3), stepped_curve(rng, 10, 3)], grid=grid)
+
+    def test_rejects_mixed_dims(self):
+        rng = np.random.default_rng(27)
+        with pytest.raises(DimMismatch):
+            karcher_mean([stepped_curve(rng, 10, 6), stepped_curve(rng, 10, 5)])
