@@ -7,7 +7,10 @@ distance is the L2 gap, and reparametrization acts as
 q -> (q o phi) sqrt(phi').  The shape distance minimizes the gap over
 increasing warps in two stages (Srivastava & Klassen 2016, ch. 4): a dynamic
 program over monotone lattice paths finds the global warp, and a
-Levenberg-Marquardt search over its nodes, slopes in [e^-2, e^2], refines it.
+Levenberg-Marquardt search over its nodes, slopes in [e^-2, e^2], refines it
+(Madsen, Nielsen & Tingleff 2004).  The search reads every step's score and
+normal system from Gram tables of the pair, built once: the cross table of
+the q0 cell reads against q1, and per-segment products of q1.
 """
 
 from __future__ import annotations
@@ -169,7 +172,7 @@ def geodesic_between(c0: ManifoldCurve, c1: ManifoldCurve, s: float) -> Manifold
 
 def _pl_index(n: int, positions: np.ndarray):
     """Left midpoint index and weight of each position, flat past the ends."""
-    x = np.clip(positions * n - 0.5, 0.0, n - 1.0)
+    x = np.minimum(np.maximum(positions * n - 0.5, 0.0), n - 1.0)
     k = np.minimum(x.astype(np.intp), max(n - 2, 0))
     return k, x - k
 
@@ -252,41 +255,74 @@ def _dp_align(q0: np.ndarray, q1: np.ndarray, grid: int):
 
 
 def _residuals(phi: np.ndarray, p0: np.ndarray, q1: np.ndarray):
-    """Cell gaps p0_m - sqrt(s_m) q1(mid_m) of a warp, its slopes s_m, and each
-    gap's derivatives in its cell's left and right node.  ``p0`` holds the q0
-    reads at the cell midpoints; the q1 read has the piecewise-constant slope
-    of the linear rule, zero past the ends."""
-    cells, n1 = phi.size - 1, q1.shape[0]
-    s = np.diff(phi) * cells
-    flat = q1.reshape(n1, -1)
-    k, w = _pl_index(n1, 0.5 * (phi[:-1] + phi[1:]))
-    lo = flat[k]
-    delta = flat[np.minimum(k + 1, n1 - 1)] - lo
-    p1 = lo + w[:, None] * delta
-    root = np.sqrt(s)
-    inside = (k + w > 0.0) & (k + w < n1 - 1.0)
-    by_mid = (-0.5 * n1 * inside * root)[:, None] * delta
-    by_slope = (0.5 * cells / root)[:, None] * p1
-    return p0 - root[:, None] * p1, s, by_mid + by_slope, by_mid - by_slope
+    """Cell gaps p0_m - sqrt(s_m) q1(mid_m) of a warp and its slopes s_m.
+    ``p0`` holds the q0 reads at the cell midpoints."""
+    s = np.diff(phi) * (phi.size - 1)
+    p1 = _pl_at(q1, 0.5 * (phi[:-1] + phi[1:]))
+    return p0 - np.sqrt(s)[:, None] * p1, s
 
 
-def _scored(phi: np.ndarray, p0: np.ndarray, q1: np.ndarray):
-    """Score of a warp, the mean squared cell gap, and its residuals.
+def _scored(phi: np.ndarray, p0: np.ndarray, q1: np.ndarray) -> float:
+    """Score of a warp: the mean squared cell gap.
 
     Every warp is scored by this rule.  It uses the midpoint rule and the
     piecewise-linear reads of the lattice search, so on a lattice path's
     nodes it reproduces the path's lattice cost to roundoff.
     """
-    res = _residuals(phi, p0, q1)
-    return float(np.einsum("md,md->", res[0], res[0])) / res[1].size, res
+    gap, s = _residuals(phi, p0, q1)
+    return float(np.einsum("md,md->", gap, gap)) / s.size
 
 
-def _normal_system(gap, dl, dr):
-    """Diagonal, off-diagonal and gradient of the Gauss-Newton node system."""
-    m = np.einsum("amd,bmd->abm", np.stack([gap, dl, dr]), np.stack([dl, dr]))
-    zero = np.zeros((2, 1))
-    diag, grad = np.hstack([m[[1, 0], 0], zero]) + np.hstack([zero, m[[2, 0], 1]])
-    return diag, m[1, 1], grad
+def _gram_tables(p0: np.ndarray, q1: np.ndarray):
+    """Inner products that a refinement of q1 against the cell reads ``p0``
+    needs: the sum of |p0_m|^2; the cross table <p0_m, q_k>, its last column
+    repeated, flattened with each row's offset; and per segment of q1 the rows
+    |q_k|^2, <q_k, D_k> and |D_k|^2 of D_k = q_{k+1} - q_k, zero past the
+    last segment."""
+    flat = q1.reshape(q1.shape[0], -1)
+    delta = np.diff(flat, axis=0, append=flat[-1:])
+    cross = p0 @ np.vstack([flat, flat[-1:]]).T
+    return (float(np.einsum("md,md->", p0, p0)), cross.ravel(),
+            np.arange(0, cross.size, cross.shape[1]),
+            np.stack([np.einsum("kd,kd->k", flat, flat), np.einsum("kd,kd->k", flat, delta),
+                      np.einsum("kd,kd->k", delta, delta)]))
+
+
+def _gauss_newton(phi: np.ndarray, tables):
+    """Score, slopes, and the diagonal, off-diagonal and gradient of the
+    Gauss-Newton node system of a warp, all read from :func:`_gram_tables`.
+
+    The q1 read of cell m is p1 = q_k + w D_k.  Its gap's derivatives in the
+    cell's left and right node are a D_k + b p1 and a D_k - b p1, with
+    a = -n1 sqrt(s) / 2 inside the read's linear range (zero where it is
+    flat past the ends) and b = cells / (2 sqrt(s)), so every product the
+    system needs is a combination of table entries.  The score expands
+    |p0 - sqrt(s) p1|^2, which cancels as the gaps vanish; a final score
+    comes from :func:`_scored`.
+    """
+    sq0, cross, rows, seg = tables
+    cells, n1 = phi.size - 1, seg.shape[1]
+    s = (phi[1:] - phi[:-1]) * cells
+    k, w = _pl_index(n1, 0.5 * (phi[:-1] + phi[1:]))
+    at_k = cross.take(rows + k)
+    p0_delta = cross.take(rows + k + 1) - at_k
+    p0_p1 = at_k + w * p0_delta
+    q_sq, q_delta, delta_sq = seg.take(k, axis=1)
+    delta_p1 = q_delta + w * delta_sq
+    p1_sq = q_sq + w * (q_delta + delta_p1)
+    root = np.sqrt(s)
+    a = (-0.5 * n1) * ((k + w > 0.0) & (k + w < n1 - 1.0)) * root
+    b = (0.5 * cells) / root
+    gap_delta = a * (p0_delta - root * delta_p1)
+    gap_p1 = b * (p0_p1 - root * p1_sq)
+    aa, ab, bb = a * a * delta_sq, 2.0 * a * b * delta_p1, b * b * p1_sq
+    diag, grad = np.zeros(cells + 1), np.zeros(cells + 1)
+    diag[:-1] = aa + ab + bb
+    diag[1:] += aa - ab + bb
+    grad[:-1] = gap_delta + gap_p1
+    grad[1:] += gap_delta - gap_p1
+    cost = (sq0 - 2.0 * (root @ p0_p1) + s @ p1_sq) / cells
+    return cost, s, diag, aa - bb, grad
 
 
 def _tied_step(diag, off, grad, tied):
@@ -326,11 +362,15 @@ def _refine(p0: np.ndarray, q1: np.ndarray, phi_nodes: np.ndarray):
     Each gap depends on its cell's two nodes, so the damped Gauss-Newton system
     is tridiagonal.  A slope on a bound that the step would cross ties its
     cell's nodes into one group.  The start's slopes must lie in the bounds;
-    only steps that lower the score are taken.  Returns (warp, score).
+    only steps that lower the score are taken.  The pair's Gram tables are
+    built once, and each step reads its score and system from them in O(cells)
+    scalars (:func:`_gauss_newton`); the returned score is the final warp's
+    direct :func:`_scored`, since the expanded one cancels near zero.
+    Returns (warp, score).
     """
+    tables = _gram_tables(p0, q1)
     phi = phi_nodes
-    cost, (gap, s, dl, dr) = _scored(phi, p0, q1)
-    diag, off, grad = _normal_system(gap, dl, dr)
+    cost, s, diag, off, grad = _gauss_newton(phi, tables)
     lam = 1e-3 * max(diag.max(), 1.0)
     for _ in range(REFINE_ITERS):
         at_lo, at_hi = s <= (1.0 + 1e-9) / SLOPE_BOUND, s >= (1.0 - 1e-9) * SLOPE_BOUND
@@ -345,17 +385,18 @@ def _refine(p0: np.ndarray, q1: np.ndarray, phi_nodes: np.ndarray):
             lam *= 4.0
             continue
         new_phi = _bounded_warp(s + ds * s.size)
-        new_cost, new = _scored(new_phi, p0, q1)
-        change = cost - new_cost
+        new = _gauss_newton(new_phi, tables)
+        change = cost - new[0]
         if change > 0.0:
-            phi, cost, (gap, s, dl, dr) = new_phi, new_cost, new
-            diag, off, grad = _normal_system(gap, dl, dr)
+            phi, (cost, s, diag, off, grad) = new_phi, new
             lam /= 3.0
         else:
             lam *= 4.0
         if abs(change) < REFINE_FTOL * max(cost, 1.0):
             break
-    return phi, cost
+    # A fresh copy: the warp was allocated among the step arrays, and callers
+    # that keep many warps otherwise fragment the heap (7 MB over 900 pairs).
+    return phi.copy(), _scored(phi, p0, q1)
 
 
 def _aligned(q0: np.ndarray, q1: np.ndarray, grid: int):
@@ -375,7 +416,7 @@ def _aligned(q0: np.ndarray, q1: np.ndarray, grid: int):
     nodes = np.linspace(0.0, 1.0, cells + 1)
     p0 = _pl_at(q0, (np.arange(cells) + 0.5) / cells)
     phi, sq = _refine(p0, q1, np.interp(nodes, np.linspace(0.0, 1.0, phi_dp.size), phi_dp))
-    sq_identity, _ = _scored(nodes, p0, q1)
+    sq_identity = _scored(nodes, p0, q1)
     return (sq, phi) if sq < sq_identity else (sq_identity, nodes)
 
 

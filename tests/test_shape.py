@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from conftest import exhaustive_lattice_min, smooth_curve, stepped_curve
+from conftest import exhaustive_lattice_min, random_skew, smooth_curve, stepped_curve
 import dilshape
 from dilshape import shape
-from dilshape.curves import ManifoldCurve
+from dilshape.curves import ManifoldCurve, close_curve
 from dilshape.errors import (
     DegenerateCurve,
     DilshapeError,
@@ -40,7 +41,7 @@ J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 def warp_score(q0, q1, phi):
     """Score of warp nodes phi of q1 against q0, on the cells they span."""
     cells = phi.size - 1
-    return shape._scored(phi, shape._pl_at(q0, (np.arange(cells) + 0.5) / cells), q1)[0]
+    return shape._scored(phi, shape._pl_at(q0, (np.arange(cells) + 0.5) / cells), q1)
 
 
 def so2_curve(theta_fn, n):
@@ -251,6 +252,30 @@ class TestLatticeSearchMatchesExhaustive:
         assert np.abs(shape._pl_at(q, positions) - ref).max() < 1e-14
 
 
+def dense_system(phi, p0, q1):
+    """Score and Gauss-Newton node system of a warp from its dense gaps and
+    their node derivatives, each read's slope taken on its own segment."""
+    cells, n1 = phi.size - 1, q1.shape[0]
+    gap, s = shape._residuals(phi, p0, q1)
+    mids = 0.5 * (phi[:-1] + phi[1:])
+    read = shape._pl_at(q1, mids)
+    x = mids * n1 - 0.5
+    k = np.clip(np.floor(x).astype(int), 0, max(n1 - 2, 0))
+    flat = q1.reshape(n1, -1)
+    slope = n1 * (flat[np.minimum(k + 1, n1 - 1)] - flat[k])
+    slope[(x <= 0.0) | (x >= n1 - 1.0)] = 0.0
+    root = np.sqrt(s)[:, None]
+    left = -0.5 * root * slope + 0.5 * cells / root * read
+    right = -0.5 * root * slope - 0.5 * cells / root * read
+    diag, grad = np.zeros(cells + 1), np.zeros(cells + 1)
+    diag[:-1] += np.einsum("md,md->m", left, left)
+    diag[1:] += np.einsum("md,md->m", right, right)
+    grad[:-1] += np.einsum("md,md->m", gap, left)
+    grad[1:] += np.einsum("md,md->m", gap, right)
+    score = np.einsum("md,md->", gap, gap) / cells
+    return score, diag, np.einsum("md,md->m", left, right), grad
+
+
 class TestRefinement:
     def test_node_derivatives_match_central_differences(self):
         rng = np.random.default_rng(23)
@@ -260,21 +285,81 @@ class TestRefinement:
             p0 = shape._pl_at(q0, (np.arange(cells) + 0.5) / cells)
             slopes = np.exp(rng.uniform(-1.5, 1.5, cells))
             phi = np.concatenate(([0.0], np.cumsum(slopes) / slopes.sum()))
-            gap, s, d_left, d_right = shape._residuals(phi, p0, q1)
+            gap, s = shape._residuals(phi, p0, q1)
             assert np.abs(s - np.diff(phi) * cells).max() < 1e-12
             read = shape._pl_at(q1, 0.5 * (phi[:-1] + phi[1:]))
             assert np.abs(gap - (p0 - np.sqrt(s)[:, None] * read)).max() < 1e-12
             assert np.einsum("md,md->m", gap, gap).mean() == pytest.approx(
-                shape._scored(phi, p0, q1)[0], abs=1e-12)
-            # Moving node j changes only the gaps of cells j - 1 and j.
+                shape._scored(phi, p0, q1), abs=1e-12)
+            # The table system is J^T J and J^T gap of the gaps' node Jacobian,
+            # which is tridiagonal: node j moves only the gaps of cells j - 1, j.
             h = 1e-6
-            fd = np.array([(shape._residuals(phi + h * e, p0, q1)[0]
-                            - shape._residuals(phi - h * e, p0, q1)[0]) / (2.0 * h)
-                           for e in np.eye(cells + 1)])
-            want = np.zeros_like(fd)
-            want[np.arange(cells), np.arange(cells)] = d_left
-            want[np.arange(1, cells + 1), np.arange(cells)] = d_right
-            assert np.abs(want - fd).max() <= 1e-5 * np.abs(fd).max()
+            jac = np.array([(shape._residuals(phi + h * e, p0, q1)[0]
+                             - shape._residuals(phi - h * e, p0, q1)[0]) / (2.0 * h)
+                            for e in np.eye(cells + 1)]).reshape(cells + 1, -1)
+            _, _, diag, off, grad = shape._gauss_newton(phi, shape._gram_tables(p0, q1))
+            normal = jac @ jac.T
+            system = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+            assert np.abs(system - normal).max() <= 1e-5 * np.abs(normal).max()
+            want = jac @ gap.ravel()
+            assert np.abs(grad - want).max() <= 1e-5 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n1", [1, 2, 5])
+    def test_tables_match_dense_system(self, n1):
+        # Slopes far past both bounds land on them; the slow cells at both ends
+        # put midpoints on the flat reads past the ends and in the last segment.
+        rng = np.random.default_rng(26 + n1)
+        d, cells = 3, 12 * n1
+        q0 = tsrv(stepped_curve(rng, 4, d)).values
+        q1 = tsrv(stepped_curve(rng, n1, d)).values
+        p0 = shape._pl_at(q0, (np.arange(cells) + 0.5) / cells)
+        tables = shape._gram_tables(p0, q1)
+        edge = cells // 6
+        pinned = np.exp(rng.uniform(-1.0, 0.0, cells))
+        pinned[:edge] = pinned[-edge:] = 1e-3
+        pinned[edge:edge + n1] = 1e3
+        warps = [np.linspace(0.0, 1.0, cells + 1), shape._bounded_warp(pinned)]
+        for _ in range(4):
+            warps.append(shape._bounded_warp(np.exp(rng.uniform(-2.5, 2.5, cells))))
+        for phi in warps:
+            score, s, diag, off, grad = shape._gauss_newton(phi, tables)
+            assert np.array_equal(s, shape._residuals(phi, p0, q1)[1])
+            want_score, *want = dense_system(phi, p0, q1)
+            assert abs(score - want_score) <= 1e-12 * want_score
+            for got, ref in zip((diag, off, grad), want):
+                assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        s = np.diff(warps[1]) * cells
+        assert np.isclose(s, shape.SLOPE_BOUND).any() and np.isclose(
+            s, 1.0 / shape.SLOPE_BOUND).any()
+        mids = 0.5 * (warps[1][:-1] + warps[1][1:]) * n1 - 0.5
+        assert (mids < 0.0).any() and (mids > n1 - 1.0).any()
+        if n1 > 1:
+            assert ((mids > n1 - 2.0) & (mids < n1 - 1.0)).any()
+
+    def test_identical_and_near_pairs(self):
+        # The refinement's expanded score cancels when the gaps vanish; the
+        # distance must still come out finite, bounded and zero on self-pairs.
+        rng = np.random.default_rng(27)
+        for n in range(1, 13):
+            d = 2 + n % 4
+            c0 = stepped_curve(rng, n, d)
+            nudged = np.stack([c0.points[0]] + [
+                expm(random_skew(rng, d, 1e-7)) @ p for p in c0.points[1:]])
+            c1 = ManifoldCurve(points=nudged)
+            pairs = [((c0, c0), True), ((c0, c1), False),
+                     ((close_curve(c0), close_curve(c0)), True),
+                     ((close_curve(c0), close_curve(c1)), False)]
+            for (x, y), same in pairs:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    if x.closed:
+                        dist = closed_shape_distance(x, y, grid=2 * x.segments)
+                    else:
+                        dist, _ = shape_distance(x, y, grid=2 * n)
+                assert np.isfinite(dist)
+                assert dist <= curve_distance(x, y) + 1e-12
+                if same:
+                    assert dist < 1e-12
 
     @pytest.mark.parametrize("power", [3.0, 0.3])
     def test_refined_slopes_stay_inside_bounds(self, power):
@@ -305,8 +390,8 @@ class TestRefinement:
             start = np.concatenate(([0.0], np.cumsum(slopes) / slopes.sum()))
             start[-1] = 1.0
             phi, cost = shape._refine(p0, q1, start)
-            assert cost == shape._scored(phi, p0, q1)[0]
-            assert cost <= shape._scored(start, p0, q1)[0]
+            assert cost == shape._scored(phi, p0, q1)
+            assert cost <= shape._scored(start, p0, q1)
 
     @pytest.mark.parametrize("n0, n1, grid", [
         (1, 1, 1), (1, 2, 2), (2, 1, 2), (1, 3, 3), (3, 1, 3),
