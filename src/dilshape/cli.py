@@ -83,7 +83,7 @@ def cmd_reconstruct(args) -> int:
 
 def _load_curves(paths, resample: int | None):
     loaded = [(str(p), io.load_curve(p)) for p in paths]
-    if resample:
+    if resample is not None:
         loaded = [(name, curves.spline_resample(c, resample)) for name, c in loaded]
     return loaded
 
@@ -153,6 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
     grid_help = ("alignment resolution, at least the finest segment count (default "
                  "twice it); a smaller grid, 0 included, exits 4, and curves of "
                  "different dims exit 2")
+    resample_help = ("spline-resample every curve to this many segments first; a "
+                     "count below a curve's segment count, 0 included, exits 4")
 
     p = sub.add_parser("parcors", help="extract contraction parameters from a matrix")
     p.add_argument("input", help="correlation matrix file")
@@ -192,18 +194,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help="shape minimizes over reparametrizations, curve does "
                         "not, closed also minimizes over starting points")
     p.add_argument("--grid", type=int, help=grid_help)
-    p.add_argument("--resample", type=int,
-                   help="spline-resample every curve to this many segments first")
+    p.add_argument("--resample", type=int, help=resample_help)
     p.add_argument("-o", "--output",
                    help="distance matrix CSV destination (default stdout)")
 
     p = sub.add_parser("mean", help="elastic mean of curve files")
     p.add_argument("curves", nargs="+", help="curve files to average")
     p.add_argument("--iters", type=int, default=24,
-                   help="alignment and averaging rounds")
+                   help="alignment and averaging rounds; 0 writes the unaligned "
+                        "average, and a negative count exits 2")
     p.add_argument("--grid", type=int, help=grid_help)
-    p.add_argument("--resample", type=int,
-                   help="spline-resample every curve to this many segments first")
+    p.add_argument("--resample", type=int, help=resample_help)
     p.add_argument("-o", "--output", required=True, help="curve file destination")
 
     p = sub.add_parser("gen", help="generate synthetic processes")

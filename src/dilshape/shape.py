@@ -8,9 +8,9 @@ q -> (q o phi) sqrt(phi').  The shape distance minimizes the gap over
 increasing warps in two stages (Srivastava & Klassen 2016, ch. 4): a dynamic
 program over monotone lattice paths finds the global warp, and a
 Levenberg-Marquardt search over its nodes, slopes in [e^-2, e^2], refines it
-(Madsen, Nielsen & Tingleff 2004).  The search reads every step's score and
-normal system from Gram tables of the pair, built once: the cross table of
-the q0 cell reads against q1, and per-segment products of q1.
+(Madsen, Nielsen & Tingleff 2004).  It reads each trial's score, and each
+taken warp's normal system, from Gram tables of the pair built once: the
+cross table of the q0 cell reads against q1, and per-segment products of q1.
 """
 
 from __future__ import annotations
@@ -21,13 +21,8 @@ import numpy as np
 from scipy.linalg.lapack import dptsv
 
 from .curves import ManifoldCurve, _stack, srv_values
-from .errors import (
-    DegenerateCurve,
-    DimMismatch,
-    GridMismatch,
-    NotClosed,
-    VanishingVelocity,
-)
+from .errors import (DegenerateCurve, DimMismatch, GridMismatch, NotClosed, OutOfRange,
+                     VanishingVelocity)
 from .liegroup import exp_group
 
 Q_FLOOR = 1e-10
@@ -288,18 +283,11 @@ def _gram_tables(p0: np.ndarray, q1: np.ndarray):
                       np.einsum("kd,kd->k", delta, delta)]))
 
 
-def _gauss_newton(phi: np.ndarray, tables):
-    """Score, slopes, and the diagonal, off-diagonal and gradient of the
-    Gauss-Newton node system of a warp, all read from :func:`_gram_tables`.
-
-    The q1 read of cell m is p1 = q_k + w D_k.  Its gap's derivatives in the
-    cell's left and right node are a D_k + b p1 and a D_k - b p1, with
-    a = -n1 sqrt(s) / 2 inside the read's linear range (zero where it is
-    flat past the ends) and b = cells / (2 sqrt(s)), so every product the
-    system needs is a combination of table entries.  The score expands
-    |p0 - sqrt(s) p1|^2, which cancels as the gaps vanish; a final score
-    comes from :func:`_scored`.
-    """
+def _read(phi: np.ndarray, tables):
+    """Score and slopes of a warp, and the cell reads its node system needs,
+    gathered from :func:`_gram_tables`.  The score expands |p0 - sqrt(s) p1|^2
+    of the q1 read p1 = q_k + w D_k, which cancels as the gaps vanish; a final
+    score comes from :func:`_scored`."""
     sq0, cross, rows, seg = tables
     cells, n1 = phi.size - 1, seg.shape[1]
     s = (phi[1:] - phi[:-1]) * cells
@@ -311,6 +299,18 @@ def _gauss_newton(phi: np.ndarray, tables):
     delta_p1 = q_delta + w * delta_sq
     p1_sq = q_sq + w * (q_delta + delta_p1)
     root = np.sqrt(s)
+    cost = (sq0 - 2.0 * (root @ p0_p1) + s @ p1_sq) / cells
+    return cost, s, (n1, k, w, root, p0_delta, p0_p1, delta_sq, delta_p1, p1_sq)
+
+
+def _system(reads):
+    """Diagonal, off-diagonal and gradient of the Gauss-Newton node system from
+    the reads of :func:`_read`.  A gap's derivatives in its cell's left and
+    right node are a D_k + b p1 and a D_k - b p1, with a = -n1 sqrt(s) / 2
+    inside the read's linear range (zero where it is flat past the ends) and
+    b = cells / (2 sqrt(s)), so every product is a combination of table entries."""
+    n1, k, w, root, p0_delta, p0_p1, delta_sq, delta_p1, p1_sq = reads
+    cells = root.size
     a = (-0.5 * n1) * ((k + w > 0.0) & (k + w < n1 - 1.0)) * root
     b = (0.5 * cells) / root
     gap_delta = a * (p0_delta - root * delta_p1)
@@ -321,8 +321,26 @@ def _gauss_newton(phi: np.ndarray, tables):
     diag[1:] += aa - ab + bb
     grad[:-1] = gap_delta + gap_p1
     grad[1:] += gap_delta - gap_p1
-    cost = (sq0 - 2.0 * (root @ p0_p1) + s @ p1_sq) / cells
-    return cost, s, diag, aa - bb, grad
+    return diag, aa - bb, grad
+
+
+def _gauss_newton(phi: np.ndarray, tables):
+    """Score, slopes and node system of a warp: :func:`_read`, then :func:`_system`."""
+    cost, s, reads = _read(phi, tables)
+    return (cost, s, *_system(reads))
+
+
+def _free_step(diag, off, grad):
+    """Damped node step with the end nodes fixed and every other node free;
+    None when LAPACK finds the system singular."""
+    x = np.zeros(diag.size)
+    if diag.size == 3:
+        x[1] = -grad[1] / diag[1]
+    elif diag.size > 3:
+        _, _, x[1:-1], info = dptsv(diag[1:-1], off[1:-1], -grad[1:-1])
+        if info != 0:
+            return None
+    return x
 
 
 def _tied_step(diag, off, grad, tied):
@@ -331,27 +349,21 @@ def _tied_step(diag, off, grad, tied):
     group = np.concatenate(([0], np.cumsum(~tied)))
     last = group[-1]
     gd = np.bincount(group, diag) + 2.0 * np.bincount(group[:-1], off * tied, last + 1)
-    gb = -np.bincount(group, grad)[1:last]
-    x = np.zeros(last + 1)
-    if last == 2:
-        x[1] = gb[0] / gd[1]
-    elif last > 2:
-        _, _, x[1:last], info = dptsv(gd[1:last], off[~tied][1:-1], gb)
-        if info != 0:
-            return None
-    return x[group]
+    x = _free_step(gd, off[~tied], np.bincount(group, grad))
+    return None if x is None else x[group]
 
 
 def _bounded_warp(s: np.ndarray) -> np.ndarray:
     """Nodes of slopes clipped to the bounds, the excess spread in proportion
     to room over the cells off the bounds (over all, if they lack room)."""
     cells, lo, hi = s.size, 1.0 / SLOPE_BOUND, SLOPE_BOUND
-    s = np.clip(s, lo, hi)
+    s = np.minimum(np.maximum(s, lo), hi)
     excess = cells - s.sum()
     room = hi - s if excess > 0.0 else s - lo
     inside = room * ((s > lo) & (s < hi))
     room = inside if inside.sum() > abs(excess) else room
-    phi = np.concatenate(([0.0], np.cumsum(s + excess * room / room.sum()) / cells))
+    phi = np.zeros(cells + 1)
+    np.divide(np.cumsum(s + excess * room / room.sum()), cells, out=phi[1:])
     phi[-1] = 1.0
     return phi
 
@@ -361,34 +373,41 @@ def _refine(p0: np.ndarray, q1: np.ndarray, phi_nodes: np.ndarray):
 
     Each gap depends on its cell's two nodes, so the damped Gauss-Newton system
     is tridiagonal.  A slope on a bound that the step would cross ties its
-    cell's nodes into one group.  The start's slopes must lie in the bounds;
-    only steps that lower the score are taken.  The pair's Gram tables are
-    built once, and each step reads its score and system from them in O(cells)
-    scalars (:func:`_gauss_newton`); the returned score is the final warp's
-    direct :func:`_scored`, since the expanded one cancels near zero.
+    cell's nodes into one group, and the system is solved again.  The start's
+    slopes must lie in the bounds; only steps that lower the score are taken.
+    The pair's Gram tables are built once.  A trial warp reads only its score
+    from them (:func:`_read`), a taken one also its node system
+    (:func:`_system`), each in O(cells) scalars.  The returned score is the
+    final warp's direct :func:`_scored`, since the expanded one cancels.
     Returns (warp, score).
     """
     tables = _gram_tables(p0, q1)
-    phi = phi_nodes
-    cost, s, diag, off, grad = _gauss_newton(phi, tables)
-    lam = 1e-3 * max(diag.max(), 1.0)
+    phi, (cost, s, reads) = phi_nodes, _read(phi_nodes, tables)
+    lam = None
     for _ in range(REFINE_ITERS):
-        at_lo, at_hi = s <= (1.0 + 1e-9) / SLOPE_BOUND, s >= (1.0 - 1e-9) * SLOPE_BOUND
-        tied = np.zeros(s.size, dtype=bool)
-        while (step := _tied_step(diag + lam, off, grad, tied)) is not None:
-            ds = np.diff(step)
+        if reads is not None:
+            # A warp just taken: its node system and the slopes on the bounds.
+            (diag, off, grad), reads = _system(reads), None
+            at_lo, at_hi = s <= (1.0 + 1e-9) / SLOPE_BOUND, s >= (1.0 - 1e-9) * SLOPE_BOUND
+            lam = 1e-3 * max(diag.max(), 1.0) if lam is None else lam
+        damped, tied = diag + lam, np.zeros(s.size, dtype=bool)
+        step = _free_step(damped, off, grad)
+        while step is not None:
+            ds = step[1:] - step[:-1]
             push = ((at_lo & (ds < 0.0)) | (at_hi & (ds > 0.0))) & ~tied
             if not push.any():
                 break
             tied |= push
+            step = _tied_step(damped, off, grad, tied)
         if step is None:
             lam *= 4.0
             continue
         new_phi = _bounded_warp(s + ds * s.size)
-        new = _gauss_newton(new_phi, tables)
+        new = _read(new_phi, tables)
         change = cost - new[0]
         if change > 0.0:
-            phi, (cost, s, diag, off, grad) = new_phi, new
+            phi, (cost, s, reads) = new_phi, new
+            del new  # kept through the next trial, the reads fragment the heap
             lam /= 3.0
         else:
             lam *= 4.0
@@ -479,9 +498,12 @@ def karcher_mean(curves: list[ManifoldCurve], iters: int = 24,
     Alternates aligning every curve to the current mean (through the shape
     warp) with averaging the aligned flat coordinates, and integrates the
     converged average back to a curve.  Stops when the mean's q values move
-    less than ``KARCHER_TOL`` or after ``iters`` rounds.  ``grid`` defaults
-    to twice the curves' segment count.
+    less than ``KARCHER_TOL`` or after ``iters`` rounds; ``iters`` = 0 returns
+    the unaligned average, and a negative count raises OutOfRange.  ``grid``
+    defaults to twice the curves' segment count.
     """
+    if iters < 0:
+        raise OutOfRange(f"round count {iters} is negative")
     grid = _admitted(curves, grid)
     qs = [_q_or_degenerate(c) for c in curves]
     qbar = np.mean(qs, axis=0)

@@ -2,7 +2,9 @@
 
 import numpy as np
 from scipy.linalg import expm
+from scipy.linalg.lapack import dptsv
 
+from dilshape import shape
 from dilshape.curves import ManifoldCurve
 
 
@@ -91,3 +93,70 @@ def exhaustive_lattice_min(q0, q1, g, steps):
         return best
 
     return from_node(0, 0)
+
+
+def reference_tied_step(diag, off, grad, tied):
+    """Damped node step over groups of tied nodes, end groups fixed, solved by
+    LAPACK with the one-unknown case divided out; None when singular."""
+    group = np.concatenate(([0], np.cumsum(~tied)))
+    last = group[-1]
+    gd = np.bincount(group, diag) + 2.0 * np.bincount(group[:-1], off * tied, last + 1)
+    gb = -np.bincount(group, grad)[1:last]
+    x = np.zeros(last + 1)
+    if last == 2:
+        x[1] = gb[0] / gd[1]
+    elif last > 2:
+        _, _, x[1:last], info = dptsv(gd[1:last], off[~tied][1:-1], gb)
+        if info != 0:
+            return None
+    return x[group]
+
+
+def reference_refine(p0, q1, phi_nodes):
+    """The warp refinement as a plain Levenberg-Marquardt loop, for identity
+    checks of the production one.
+
+    Every trial warp gets its full node system from ``_gauss_newton``, every
+    solve, the first of a step included, goes through the grouped
+    :func:`reference_tied_step`, and the slopes are clipped and summed with
+    ``np.clip``, ``np.diff`` and ``np.concatenate``.  Returns (warp, score).
+    """
+    def bounded_warp(s):
+        cells, lo, hi = s.size, 1.0 / shape.SLOPE_BOUND, shape.SLOPE_BOUND
+        s = np.clip(s, lo, hi)
+        excess = cells - s.sum()
+        room = hi - s if excess > 0.0 else s - lo
+        inside = room * ((s > lo) & (s < hi))
+        room = inside if inside.sum() > abs(excess) else room
+        phi = np.concatenate(([0.0], np.cumsum(s + excess * room / room.sum()) / cells))
+        phi[-1] = 1.0
+        return phi
+
+    tables = shape._gram_tables(p0, q1)
+    phi = phi_nodes
+    cost, s, diag, off, grad = shape._gauss_newton(phi, tables)
+    lam = 1e-3 * max(diag.max(), 1.0)
+    for _ in range(shape.REFINE_ITERS):
+        at_lo = s <= (1.0 + 1e-9) / shape.SLOPE_BOUND
+        at_hi = s >= (1.0 - 1e-9) * shape.SLOPE_BOUND
+        tied = np.zeros(s.size, dtype=bool)
+        while (step := reference_tied_step(diag + lam, off, grad, tied)) is not None:
+            ds = np.diff(step)
+            push = ((at_lo & (ds < 0.0)) | (at_hi & (ds > 0.0))) & ~tied
+            if not push.any():
+                break
+            tied |= push
+        if step is None:
+            lam *= 4.0
+            continue
+        new_phi = bounded_warp(s + ds * s.size)
+        new = shape._gauss_newton(new_phi, tables)
+        change = cost - new[0]
+        if change > 0.0:
+            phi, (cost, s, diag, off, grad) = new_phi, new
+            lam /= 3.0
+        else:
+            lam *= 4.0
+        if abs(change) < shape.REFINE_FTOL * max(cost, 1.0):
+            break
+    return phi, shape._scored(phi, p0, q1)

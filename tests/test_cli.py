@@ -11,6 +11,7 @@ from scipy.linalg import expm
 from conftest import stepped_curve
 from dilshape import io
 from dilshape.cli import main
+from dilshape.shape import geodesic_between
 
 
 def run(*argv):
@@ -229,6 +230,32 @@ class TestComparisonAdmission:
         assert "Traceback" not in err
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("command", ["dist", "mean"])
+    @pytest.mark.parametrize("resample", [-4, 0, 5])
+    def test_resample_below_resolution(self, tmp_path, capsys, command, resample):
+        curves = self.write_curves(tmp_path, 3, 3)
+        capsys.readouterr()
+        code = run(command, *curves, "--resample", resample, "-o", tmp_path / "out")
+        err = capsys.readouterr().err
+        assert code == 4, err
+        assert err.startswith("window/grid error:")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("iters", [-1, -3])
+    def test_mean_negative_rounds(self, tmp_path, capsys, iters):
+        curves = self.write_curves(tmp_path, 3, 3)
+        capsys.readouterr()
+        assert run("mean", *curves, "--iters", iters, "-o", tmp_path / "m.json") == 2
+        assert capsys.readouterr().err.startswith("validation error:")
+        assert not (tmp_path / "m.json").exists()
+
+    def test_mean_zero_rounds_is_the_unaligned_average(self, tmp_path):
+        c0, c1 = self.write_curves(tmp_path, 3, 3)
+        assert run("mean", c0, c1, "--iters", 0, "-o", tmp_path / "m.json") == 0
+        want = geodesic_between(io.load_curve(c0), io.load_curve(c1), 0.5)
+        got = io.load_curve(tmp_path / "m.json")
+        assert np.abs(got.points - want.points).max() < 1e-12
+
     @pytest.mark.parametrize("argv", [("dist",), ("dist", "--mode", "curve"),
                                       ("mean", "-o", "m.json")])
     def test_dim_mismatch_is_validation(self, tmp_path, capsys, monkeypatch, argv):
@@ -415,9 +442,10 @@ class TestLoaderFuzz:
            params=file_of(params_file), matrix=file_of(matrix_file),
            dim=st.integers(1, 8), full=st.booleans(),
            mode=st.sampled_from(["shape", "curve", "closed"]),
-           grid=st.one_of(st.none(), st.integers(-30, 40)))
+           grid=st.one_of(st.none(), st.integers(-30, 40)),
+           iters=st.integers(-3, 3), resample=st.one_of(st.none(), st.integers(-3, 8)))
     def test_exit_codes_are_documented(self, curves, sequence, params, matrix,
-                                       dim, full, mode, grid):
+                                       dim, full, mode, grid, iters, resample):
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
 
@@ -426,10 +454,11 @@ class TestLoaderFuzz:
                 return tmp / name
 
             c0, c1 = (write(f"c{k}.json", c) for k, c in enumerate(curves))
-            grid_arg = [] if grid is None else ["--grid", grid]
+            options = [] if grid is None else ["--grid", grid]
+            options += [] if resample is None else ["--resample", resample]
             calls = [
-                ("dist", c0, c1, "--mode", mode, *grid_arg),
-                ("mean", c0, c1, "--iters", 2, "-o", tmp / "mean.json", *grid_arg),
+                ("dist", c0, c1, "--mode", mode, *options),
+                ("mean", c0, c1, "--iters", iters, "-o", tmp / "mean.json", *options),
                 ("reconstruct", write("s.json", sequence), "-o", tmp / "r.csv"),
                 ("dilate", write("p.json", params), "--dim", dim, "-o", tmp / "d.json",
                  *(["--full"] if full else [])),
@@ -439,6 +468,13 @@ class TestLoaderFuzz:
             for argv in calls:
                 codes[argv[0]] = run("--quiet", *argv)
                 assert codes[argv[0]] in {0, 2, 3, 4, 5}, argv
+            # No curve has fewer than one segment, so a resample count below 1
+            # never succeeds, and neither does a negative round count.
+            too_few = resample is not None and resample < 1
+            if too_few or iters < 0:
+                assert codes["mean"] != 0
+            if too_few:
+                assert codes["dist"] != 0
             if isinstance(params, dict) and oversized(params.get("n")):
                 assert codes["dilate"] == 5
                 assert not (tmp / "d.json").exists()

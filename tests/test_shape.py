@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from conftest import exhaustive_lattice_min, random_skew, smooth_curve, stepped_curve
+from conftest import (exhaustive_lattice_min, random_skew, reference_refine,
+                      reference_tied_step, smooth_curve, stepped_curve)
 import dilshape
 from dilshape import shape
 from dilshape.curves import ManifoldCurve, close_curve
@@ -20,6 +21,7 @@ from dilshape.errors import (
     DimMismatch,
     GridMismatch,
     NotClosed,
+    OutOfRange,
     VanishingVelocity,
 )
 from dilshape.shape import (
@@ -361,6 +363,69 @@ class TestRefinement:
                 if same:
                     assert dist < 1e-12
 
+    def test_refine_matches_reference_loop_bit_for_bit(self):
+        # Trial warps read only their score and a step's first solve skips the
+        # grouping; neither may change a single iterate.
+        rng = np.random.default_rng(41)
+        moved = 0
+        for _ in range(40):
+            n0, n1 = (int(n) for n in rng.integers(4, 17, size=2))
+            d = int(rng.integers(2, 5))
+            q0 = tsrv(stepped_curve(rng, n0, d)).values
+            q1 = tsrv(stepped_curve(rng, n1, d)).values
+            grid = int(rng.integers(max(n0, n1), 4 * max(n0, n1) + 1))
+            _, phi_dp = shape._dp_align(q0, q1, grid)
+            cells = shape.REFINE_CELLS * (phi_dp.size - 1)
+            p0 = shape._pl_at(q0, (np.arange(cells) + 0.5) / cells)
+            start = np.interp(np.linspace(0.0, 1.0, cells + 1),
+                              np.linspace(0.0, 1.0, phi_dp.size), phi_dp)
+            phi, score = shape._refine(p0, q1, start)
+            want_phi, want_score = reference_refine(p0, q1, start)
+            assert phi.tobytes() == want_phi.tobytes()
+            assert np.float64(score).tobytes() == np.float64(want_score).tobytes()
+            moved += not np.array_equal(phi, start)
+        assert moved >= 30
+
+    @pytest.mark.parametrize("n1", [1, 2, 5])
+    def test_pinned_start_matches_reference_loop(self, n1):
+        # Slopes on both bounds tie cells, so steps are solved again grouped.
+        rng = np.random.default_rng(36 + n1)
+        q0 = tsrv(stepped_curve(rng, 4, 3)).values
+        q1 = tsrv(stepped_curve(rng, n1, 3)).values
+        cells = 12 * n1
+        p0 = shape._pl_at(q0, (np.arange(cells) + 0.5) / cells)
+        edge = cells // 6
+        slopes = np.exp(rng.uniform(-1.0, 0.0, cells))
+        slopes[:edge] = slopes[-edge:] = 1e-3
+        slopes[edge:edge + n1] = 1e3
+        start = shape._bounded_warp(slopes)
+        s = np.diff(start) * cells
+        assert np.isclose(s, shape.SLOPE_BOUND).any() and np.isclose(
+            s, 1.0 / shape.SLOPE_BOUND).any()
+        phi, score = shape._refine(p0, q1, start)
+        want_phi, want_score = reference_refine(p0, q1, start)
+        assert phi.tobytes() == want_phi.tobytes()
+        assert np.float64(score).tobytes() == np.float64(want_score).tobytes()
+
+    @pytest.mark.parametrize("nodes", [2, 3, 4, 9, 61])
+    def test_free_step_is_the_untied_grouped_step(self, nodes):
+        rng = np.random.default_rng(nodes)
+        untied = np.zeros(nodes - 1, dtype=bool)
+        for _ in range(20):
+            diag = rng.uniform(1.0, 3.0, nodes)
+            off = rng.uniform(-0.5, 0.5, nodes - 1)
+            grad = rng.standard_normal(nodes)
+            free = shape._free_step(diag, off, grad)
+            assert free.tobytes() == shape._tied_step(diag, off, grad, untied).tobytes()
+            assert free.tobytes() == reference_tied_step(diag, off, grad, untied).tobytes()
+            assert free[0] == free[-1] == 0.0
+        if nodes > 3:
+            # A non-positive pivot makes LAPACK refuse the system: all give up.
+            diag[nodes // 2] = -1.0
+            assert shape._free_step(diag, off, grad) is None
+            assert shape._tied_step(diag, off, grad, untied) is None
+            assert reference_tied_step(diag, off, grad, untied) is None
+
     @pytest.mark.parametrize("power", [3.0, 0.3])
     def test_refined_slopes_stay_inside_bounds(self, power):
         # Aligning against a steep warp asks for slopes beyond the bounds.
@@ -511,6 +576,18 @@ class TestKarcherMean:
         rng = np.random.default_rng(26)
         with pytest.raises(GridMismatch):
             karcher_mean([stepped_curve(rng, 10, 3), stepped_curve(rng, 10, 3)], grid=grid)
+
+    @pytest.mark.parametrize("iters", [-1, -3])
+    def test_rejects_negative_rounds(self, iters):
+        rng = np.random.default_rng(28)
+        with pytest.raises(OutOfRange):
+            karcher_mean([stepped_curve(rng, 6, 3), stepped_curve(rng, 6, 3)], iters=iters)
+
+    def test_zero_rounds_is_the_unaligned_average(self):
+        rng = np.random.default_rng(29)
+        c0, c1 = stepped_curve(rng, 8, 3), stepped_curve(rng, 8, 3)
+        m = karcher_mean([c0, c1], iters=0)
+        assert np.abs(m.points - geodesic_between(c0, c1, 0.5).points).max() < 1e-12
 
     def test_rejects_mixed_dims(self):
         rng = np.random.default_rng(27)
