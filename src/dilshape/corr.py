@@ -199,6 +199,20 @@ def modulation_profile(period: int, depth: float, t) -> np.ndarray:
     return 1.0 + depth * np.cos(2.0 * np.pi * np.asarray(t, dtype=float) / period)
 
 
+def _check_pc(base_coefficient: float, period: int, depth: float, n: int,
+              count: int = 1) -> None:
+    """OutOfRange unless the periodically correlated model's arguments are
+    admissible; the interval tests fail on NaN too."""
+    if not -1.0 < base_coefficient < 1.0:
+        raise OutOfRange(f"coefficient must lie in (-1, 1), got {base_coefficient}")
+    if period < 1:
+        raise OutOfRange("period must be at least 1")
+    if not 0.0 <= depth < 1.0:
+        raise OutOfRange(f"depth must lie in [0, 1), got {depth}")
+    if n < 1 or count < 1:
+        raise OutOfRange("n and count must be at least 1")
+
+
 def gen_pc_process(base_coefficient: float, period: int, depth: float, n: int,
                    seed: int, count: int = 256) -> RealizationSet:
     """Sample a periodically correlated first-order autoregression.
@@ -215,14 +229,7 @@ def gen_pc_process(base_coefficient: float, period: int, depth: float, n: int,
     Randomness comes from a 64-bit PCG generator seeded with ``seed``; equal
     arguments give bit-identical output.
     """
-    if not -1.0 < base_coefficient < 1.0:
-        raise OutOfRange(f"coefficient must lie in (-1, 1), got {base_coefficient}")
-    if period < 1:
-        raise OutOfRange("period must be at least 1")
-    if not 0.0 <= depth < 1.0:
-        raise OutOfRange(f"depth must lie in [0, 1), got {depth}")
-    if n < 1 or count < 1:
-        raise OutOfRange("n and count must be at least 1")
+    _check_pc(base_coefficient, period, depth, n, count)
     rng = np.random.Generator(np.random.PCG64(seed))
     burn = 8 * period + _BURN_IN_FLOOR
     x = np.zeros(count)
@@ -241,8 +248,10 @@ def pc_covariance_oracle(base_coefficient: float, period: int, depth: float,
     Propagates the variance recursion v_t = a^2 v_{t-1} + m(t)^2 from the
     same zero start the sampler uses, then fills cov(x_i, x_j) =
     a^{|i-j|} v_min(i,j).  Useful as an analytic reference for estimator
-    tests; not needed by the pipeline itself.
+    tests; not needed by the pipeline itself.  Takes the arguments
+    :func:`gen_pc_process` takes, by the same checks.
     """
+    _check_pc(base_coefficient, period, depth, n)
     a = base_coefficient
     burn = 8 * period + _BURN_IN_FLOOR
     v = 0.0

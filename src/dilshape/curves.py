@@ -19,6 +19,9 @@ from .liegroup import ensure_rotation, exp_group, log_group, project_skew
 
 CLOSURE_TOL = 1e-8
 IDENTITY_TOL = 1e-8
+# Largest resampled segment count, and largest lattice side of an alignment:
+# the lattice search holds about ten tables of side^2 floats (1.3 GB at 4,000).
+MAX_GRID = 4096
 
 
 @dataclass(frozen=True)
@@ -148,12 +151,15 @@ def piecewise_geodesic(curve: ManifoldCurve, t: float) -> np.ndarray:
 
 
 def spline_resample(curve: ManifoldCurve, m: int) -> ManifoldCurve:
-    """Resample to m + 1 points through a cubic spline in unrolled coordinates."""
+    """Resample to m + 1 points through a cubic spline in unrolled coordinates;
+    m may not fall below the curve's segment count nor exceed ``MAX_GRID``."""
     n = curve.segments
     if n < 1:
         raise GridMismatch("resampling needs at least two samples")
     if m < n:
         raise GridMismatch(f"target resolution {m} below source {n}")
+    if m > MAX_GRID:
+        raise GridMismatch(f"target resolution {m} above MAX_GRID {MAX_GRID}")
     pts = _interpolate(curve, np.linspace(0.0, 1.0, m + 1), smooth=True)
     return ManifoldCurve(points=_stack(pts), closed=curve.closed, base=None)
 

@@ -43,10 +43,10 @@ BOUNDARY_TOL = 1e-12
 
 
 def defect(gamma: float) -> float:
-    """sqrt(1 - gamma^2) for a contraction gamma."""
+    """sqrt(1 - gamma^2) for a contraction gamma; OutOfRange otherwise, NaN included."""
     g = float(gamma)
-    if abs(g) > 1.0 + BOUNDARY_TOL:
-        raise OutOfRange(f"|gamma| = {abs(g)} exceeds 1")
+    if not abs(g) <= 1.0 + BOUNDARY_TOL:  # NaN fails too
+        raise OutOfRange(f"|gamma| = {abs(g)} is not at most 1")
     return float(np.sqrt(max(0.0, 1.0 - g * g)))
 
 
@@ -316,30 +316,19 @@ def reconstructible_window(seq: DilationSequence) -> list[tuple[int, int]]:
 def naimark_matrix(parcors, dim: int) -> np.ndarray:
     """Single orthogonal dilation of a stationary parcor sequence.
 
-    Entrywise closed form: first row (g1, d1 g2, d1 d2 g3, ..., d1...d_{m-1}),
-    subdiagonal d_i, interior (i, j) = -g_i d_{i+1}...d_j g_{j+1}, last
-    column closing each row with the trailing defect product.  Missing
-    parcors beyond the sequence count as zero.  Powers reproduce the
-    stationary correlations: e1^T U^k e1 = R_k for k up to dim - 1.
+    The block product G_1(g_1) G_2(g_2) ... G_{dim-1}(g_{dim-1}) that
+    :func:`build_dilation_sequence` forms for each row of a stationary set.
+    Parcors beyond the window are checked but unused; missing ones count as
+    zero.  Powers reproduce the stationary correlations: e1^T U^k e1 = R_k
+    for k up to dim - 1.
     """
     if dim < 2:
         raise BadDim(f"dim must be at least 2, got {dim}")
-    p = np.zeros(dim)  # index 1..dim-1 used; p[0] unused
     supplied = np.asarray(parcors, dtype=float).ravel()
-    if supplied.size and float(np.abs(supplied).max()) > 1.0 + BOUNDARY_TOL:
-        raise OutOfRange("parcors must have magnitude at most 1")
-    take = min(supplied.size, dim - 1)
-    p[1:take + 1] = supplied[:take]
-    d = np.array([defect(g) for g in p])
-    u = np.zeros((dim, dim))
-    for jj in range(dim - 1):
-        u[0, jj] = np.prod(d[1:jj + 1]) * p[jj + 1]
-    u[0, dim - 1] = np.prod(d[1:dim])
-    for i in range(1, dim):
-        u[i, i - 1] = d[i]
-        for jj in range(i, dim - 1):
-            u[i, jj] = -p[i] * np.prod(d[i + 1:jj + 1]) * p[jj + 1]
-        u[i, dim - 1] = -p[i] * np.prod(d[i + 1:dim])
+    if not (np.abs(supplied) <= 1.0 + BOUNDARY_TOL).all():
+        raise OutOfRange("parcors must be finite with magnitude at most 1")
+    u = np.eye(dim)
+    _rotate(u, np.concatenate([supplied, np.zeros(dim - 1)])[:dim - 1])
     return u
 
 
@@ -361,12 +350,16 @@ def levinson(toeplitz_row) -> tuple[np.ndarray, np.ndarray]:
 
     Raises
     ------
+    OutOfRange
+        The row holds a non-finite entry or does not start with 1.
     SingularStep
         A prediction error hit zero or below, i.e. the implied matrix is
         singular at some order.
     """
     r = np.asarray(toeplitz_row, dtype=float).ravel()
     n = r.size
+    if not np.isfinite(r).all():
+        raise OutOfRange("row entries must be finite")
     if n < 1 or abs(r[0] - 1.0) > 1e-12:
         raise OutOfRange("row must start with 1")
     reflection = np.zeros(max(0, n - 1))

@@ -16,17 +16,17 @@ cross table of the q0 cell reads against q1, and per-segment products of q1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 from scipy.linalg.lapack import dptsv
 
-from .curves import ManifoldCurve, _stack, srv_values
+from .curves import MAX_GRID, ManifoldCurve, _stack, srv_values
 from .errors import (DegenerateCurve, DimMismatch, GridMismatch, NotClosed, OutOfRange,
                      VanishingVelocity)
 from .liegroup import exp_group
 
 Q_FLOOR = 1e-10
-KARCHER_TOL = 1e-8
 
 # Lattice steps (a, b): advance a nodes in t and b in phi, slopes 1/3 .. 3.
 # The unit diagonal comes first so exact ties resolve to the identity warp.
@@ -123,7 +123,8 @@ def _admitted(curves, grid: int | None = None, closed: bool = False,
     Checks, in order: at least one curve, every curve closed when ``closed``,
     one dim, one segment count when ``shared``, and an identity start unless
     ``closed``.  The grid defaults to twice the finest segment count and may
-    not fall below it.
+    not fall below it, nor set a lattice side (the multiple of the first
+    curve's segment count that :func:`_dp_align` builds) above ``MAX_GRID``.
     """
     if not curves:
         raise GridMismatch("no curves to compare")
@@ -141,6 +142,9 @@ def _admitted(curves, grid: int | None = None, closed: bool = False,
     grid = 2 * finest if grid is None else grid
     if grid < finest:
         raise GridMismatch(f"grid {grid} below curve resolution {finest}")
+    n0 = max(curves[0].segments, 1)
+    if n0 * -(-grid // n0) > MAX_GRID:
+        raise GridMismatch(f"grid {grid} sets a lattice side above {MAX_GRID}")
     return grid
 
 
@@ -176,8 +180,7 @@ def _pl_at(q: np.ndarray, positions: np.ndarray) -> np.ndarray:
     """Piecewise-linear read of a q sequence at parameter positions.
 
     Values live at segment midpoints (k + 1/2) / n and extend flat beyond
-    the first and last midpoint; this is the same composition rule the warp
-    application uses, so search and evaluation agree.
+    the first and last midpoint.
     """
     n = q.shape[0]
     flat = q.reshape(n, -1)
@@ -477,46 +480,60 @@ def closed_shape_distance(c0: ManifoldCurve, c1: ManifoldCurve,
     return float(np.sqrt(best))
 
 
-def warp_tsrv(q: np.ndarray, phi: Reparametrization) -> np.ndarray:
-    """Apply a warp in flat coordinates: (q o phi) sqrt(phi') per segment.
+def _cell_fit(target: np.ndarray, n: int) -> np.ndarray:
+    """Least-squares values of n segments whose reads at the midpoints of
+    ``target``'s cells fit its rows.  Each read weighs two neighbouring
+    segments, so the normal matrix is tridiagonal; with a cell midpoint in
+    every segment, as on the alignment's cells, it is positive definite."""
+    if n == 1:
+        return target.mean(axis=0, keepdims=True)
+    k, w = _pl_index(n, (np.arange(target.shape[0]) + 0.5) / target.shape[0])
+    rhs = np.zeros((n, target.shape[1]))
+    np.add.at(rhs, k, (1.0 - w)[:, None] * target)
+    np.add.at(rhs, k + 1, w[:, None] * target)
+    diag = np.bincount(k, (1.0 - w) ** 2, n) + np.bincount(k + 1, w * w, n)
+    return dptsv(diag, np.bincount(k, (1.0 - w) * w, n - 1), rhs)[2]
 
-    q samples are read as values at segment midpoints and composed by linear
-    interpolation; the derivative factor is the per-segment slope of phi.
+
+def _mean_rounds(qs: list[np.ndarray], grid: int):
+    """Rounds of the elastic mean of q sequences: yields each round's score,
+    the mean :func:`_scored` of its warps, and the template fitted after it.
+
+    Each curve is aligned to the template and keeps its previous warp if that
+    scores lower; the template then moves by the :func:`_cell_fit` of the mean
+    cell gap.  Neither step raises the score, and the rounds end once one
+    lowers it by less than REFINE_FTOL times max(previous, 1).
     """
-    n = q.shape[0]
-    edges = np.linspace(0.0, 1.0, n + 1)
-    slopes = np.maximum(np.diff(np.asarray(phi(edges), dtype=float)) * n, 0.0)
-    phi_mids = np.asarray(phi((edges[:-1] + edges[1:]) / 2.0), dtype=float)
-    warped = _pl_at(q, phi_mids) * np.sqrt(slopes)[:, None]
-    return warped.reshape(q.shape)
+    qbar, held, last = np.mean(qs, axis=0), None, np.inf
+    while True:
+        found = [_aligned(qbar, q, grid) for q in qs]
+        cells = found[0][1].size - 1
+        p0 = _pl_at(qbar, (np.arange(cells) + 0.5) / cells)
+        if held is not None:
+            found = [min(new, (_scored(phi, p0, q), phi), key=lambda f: f[0])
+                     for new, phi, q in zip(found, held, qs)]
+        held = [phi for _, phi in found]
+        score = sum(sq for sq, _ in found) / len(qs)
+        gap = np.mean([_residuals(phi, p0, q)[0] for phi, q in zip(held, qs)], axis=0)
+        qbar = qbar - _cell_fit(gap, qbar.shape[0]).reshape(qbar.shape)
+        yield score, qbar
+        if last - score < REFINE_FTOL * max(last, 1.0):
+            return
+        last = score
 
 
 def karcher_mean(curves: list[ManifoldCurve], iters: int = 24,
                  grid: int | None = None) -> ManifoldCurve:
-    """Elastic mean of a family of curves on a common grid.
-
-    Alternates aligning every curve to the current mean (through the shape
-    warp) with averaging the aligned flat coordinates, and integrates the
-    converged average back to a curve.  Stops when the mean's q values move
-    less than ``KARCHER_TOL`` or after ``iters`` rounds; ``iters`` = 0 returns
-    the unaligned average, and a negative count raises OutOfRange.  ``grid``
-    defaults to twice the curves' segment count.
+    """Elastic mean of a family of curves on a common grid: at most ``iters``
+    of :func:`_mean_rounds` from the unaligned average, integrated back to a
+    curve.  ``iters`` = 0 returns the unaligned average, and a negative count
+    raises OutOfRange.  ``grid`` defaults to twice the curves' segment count.
     """
     if iters < 0:
         raise OutOfRange(f"round count {iters} is negative")
     grid = _admitted(curves, grid)
     qs = [_q_or_degenerate(c) for c in curves]
     qbar = np.mean(qs, axis=0)
-    if len(curves) > 1:
-        for _ in range(iters):
-            aligned = []
-            for q in qs:
-                _, phi_nodes = _aligned(qbar, q, grid)
-                phi = Reparametrization(values=phi_nodes)
-                aligned.append(warp_tsrv(q, phi))
-            new = np.mean(aligned, axis=0)
-            delta = float(np.abs(new - qbar).max())
-            qbar = new
-            if delta < KARCHER_TOL:
-                break
+    for _, qbar in islice(_mean_rounds(qs, grid), iters if len(qs) > 1 else 0):
+        pass
     return _from_identity(qbar)

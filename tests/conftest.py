@@ -1,5 +1,10 @@
 """Shared construction helpers for the test suite."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 from scipy.linalg import expm
 from scipy.linalg.lapack import dptsv
@@ -160,3 +165,35 @@ def reference_refine(p0, q1, phi_nodes):
         if abs(change) < shape.REFINE_FTOL * max(cost, 1.0):
             break
     return phi, shape._scored(phi, p0, q1)
+
+
+def reference_cell_fit(target, n):
+    """Least-squares values of n segments whose piecewise-linear reads at the
+    midpoints of ``target``'s cells fit its rows: a dense lstsq on the reads
+    of the unit sequences."""
+    cells = target.shape[0]
+    reads = shape._pl_at(np.eye(n), (np.arange(cells) + 0.5) / cells)
+    return np.linalg.lstsq(reads, target, rcond=None)[0]
+
+
+# The peak is the child's VmHWM, the high-water mark of its own address space.
+# ru_maxrss would not do: Linux carries the spawning process's peak into it
+# across exec, so it would read the peak of the test process.
+_CHILD = ("import sys\n"
+          "from dilshape.cli import main\n"
+          "status = main(sys.argv[1:])\n"
+          "peak = [line for line in open('/proc/self/status') if line.startswith('VmHWM:')]\n"
+          "print(status, peak[0].split()[1])\n")
+
+
+def cli_status_and_peak(*argv):
+    """Exit status and peak resident KB of one command line run in a fresh
+    interpreter, plus a report for assertion messages."""
+    src = Path(shape.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", _CHILD, *map(str, argv)],
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.returncode == 0, (f"process exit {out.returncode}, stdout {out.stdout!r}, "
+                                 f"stderr {out.stderr!r}")
+    status, peak_kb = map(int, out.stdout.split()[-2:])
+    return status, peak_kb, f"status {status}, peak {peak_kb} KB, stderr {out.stderr!r}"

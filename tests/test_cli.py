@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from conftest import stepped_curve
+from conftest import cli_status_and_peak, stepped_curve
 from dilshape import io
 from dilshape.cli import main
+from dilshape.curves import MAX_GRID
 from dilshape.shape import geodesic_between
 
 
@@ -266,6 +267,24 @@ class TestComparisonAdmission:
         assert capsys.readouterr().err.startswith("validation error:")
 
 
+class TestLatticeCap:
+    """A grid or resample count past curves.MAX_GRID exits 4 before the lattice
+    or the resampled curve is allocated."""
+
+    @pytest.mark.parametrize("argv", [("dist", "--grid", 100000),
+                                      ("dist", "--grid", 6000),
+                                      ("dist", "--resample", 100000),
+                                      ("mean", "--resample", 100000, "-o", "m.json")])
+    def test_exits_before_allocating(self, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        curves = TestComparisonAdmission.write_curves(tmp_path, 3, 3)
+        status, peak_kb, report = cli_status_and_peak(argv[0], *curves, *argv[1:])
+        assert status == 4, report
+        assert "window/grid error:" in report
+        assert peak_kb < 150 * 1024, report
+        assert not (tmp_path / "m.json").exists()
+
+
 class TestMalformedFiles:
     """Loader failures exit 5 (or 2 for a contract breach), never a traceback."""
 
@@ -425,6 +444,10 @@ def matrix_file(draw):
     return {"n": n, "entries": draw(spoiled(st.just(entries)))}
 
 
+# Only sizes past the cap, so no draw builds a large lattice.
+PAST_CAP = st.integers(MAX_GRID + 1, 10 ** 12)
+
+
 def file_of(kind):
     return st.one_of(kind(), kind(), kind(), JUNK)
 
@@ -442,8 +465,9 @@ class TestLoaderFuzz:
            params=file_of(params_file), matrix=file_of(matrix_file),
            dim=st.integers(1, 8), full=st.booleans(),
            mode=st.sampled_from(["shape", "curve", "closed"]),
-           grid=st.one_of(st.none(), st.integers(-30, 40)),
-           iters=st.integers(-3, 3), resample=st.one_of(st.none(), st.integers(-3, 8)))
+           grid=st.one_of(st.none(), st.integers(-30, 40), PAST_CAP),
+           iters=st.integers(-3, 3),
+           resample=st.one_of(st.none(), st.integers(-3, 8), PAST_CAP))
     def test_exit_codes_are_documented(self, curves, sequence, params, matrix,
                                        dim, full, mode, grid, iters, resample):
         with tempfile.TemporaryDirectory() as tmp:
@@ -471,9 +495,12 @@ class TestLoaderFuzz:
             # No curve has fewer than one segment, so a resample count below 1
             # never succeeds, and neither does a negative round count.
             too_few = resample is not None and resample < 1
-            if too_few or iters < 0:
+            # Nor does a count past the cap, or a grid past it where one is read.
+            too_many = resample is not None and resample > MAX_GRID
+            grid_past = grid is not None and grid > MAX_GRID
+            if too_few or too_many or grid_past or iters < 0:
                 assert codes["mean"] != 0
-            if too_few:
+            if too_few or too_many or (grid_past and mode != "curve"):
                 assert codes["dist"] != 0
             if isinstance(params, dict) and oversized(params.get("n")):
                 assert codes["dilate"] == 5

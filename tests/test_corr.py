@@ -152,3 +152,14 @@ class TestGenerators:
             corr.gen_pc_process(0.6, 0, 0.5, 8, seed=0)
         with pytest.raises(OutOfRange):
             corr.gen_pc_process(0.6, 4, 1.0, 8, seed=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("make", [
+        lambda bad: corr.pc_covariance_oracle(bad, 4, 0.5, 3),
+        lambda bad: corr.pc_covariance_oracle(0.6, 4, bad, 3),
+        lambda bad: corr.gen_pc_process(bad, 4, 0.5, 3, seed=0),
+        lambda bad: corr.gen_pc_process(0.6, 4, bad, 3, seed=0),
+    ], ids=["oracle-coefficient", "oracle-depth", "process-coefficient", "process-depth"])
+    def test_pc_non_finite_arguments(self, make, bad):
+        with pytest.raises(OutOfRange):
+            make(bad)

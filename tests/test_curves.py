@@ -133,6 +133,12 @@ class TestSplineResample:
         with pytest.raises(GridMismatch):
             curves.spline_resample(c, 4)
 
+    def test_refuses_counts_past_the_cap(self):
+        c = stepped_curve(np.random.default_rng(4), 5, 3)
+        assert curves.spline_resample(c, curves.MAX_GRID).segments == curves.MAX_GRID
+        with pytest.raises(GridMismatch):
+            curves.spline_resample(c, curves.MAX_GRID + 1)
+
     def test_converges_to_smooth_motion(self):
         # Resampling a coarse sampling of a smooth motion should approach
         # the motion itself as the source resolution grows.

@@ -29,6 +29,9 @@ PCORR_13_GIVEN_2 = 0.12812370226601225
 PCORR_03_GIVEN_12 = 0.056678552266139826
 
 
+NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
 def ar_matrix(a, n):
     return a ** np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
 
@@ -370,3 +373,26 @@ class TestLevinson:
     def test_row_must_start_with_one(self):
         with pytest.raises(OutOfRange):
             dilation.levinson([0.9, 0.5])
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("row", [[1.0, None], [1.0, 0.5, None], [None, 0.5]])
+    def test_non_finite_row_is_out_of_range(self, row, bad):
+        with pytest.raises(OutOfRange):
+            dilation.levinson([bad if r is None else r for r in row])
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+class TestNonFiniteParcors:
+    def test_defect(self, bad):
+        with pytest.raises(OutOfRange):
+            dilation.defect(bad)
+
+    def test_givens(self, bad):
+        with pytest.raises(OutOfRange):
+            dilation.givens(bad, 0, 2)
+
+    @pytest.mark.parametrize("parcors", [[None], [0.5, None], [0.5, 0.3, None]])
+    def test_naimark_matrix(self, bad, parcors):
+        # The third parcor lies beyond the window of dim 3 and is checked too.
+        with pytest.raises(OutOfRange):
+            dilation.naimark_matrix([bad if p is None else p for p in parcors], 3)

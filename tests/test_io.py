@@ -1,13 +1,9 @@
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import dilshape
+from conftest import cli_status_and_peak
 from dilshape import dilation, io
 from dilshape.errors import FormatError
 
@@ -66,18 +62,7 @@ class TestParamsFile:
         # A 4000 x 4000 gamma and its masks would take several hundred MB.
         path = tmp_path / "big.json"
         path.write_text(json.dumps({"n": 4000, "gamma": []}))
-        code = ("import resource, sys\n"
-                "from dilshape.cli import main\n"
-                "status = main(sys.argv[1:])\n"
-                "print(status, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
-        argv = ["dilate", str(path), "--dim", "2", "-o", str(tmp_path / "c.json")]
-        src = Path(dilshape.__file__).resolve().parents[1]
-        out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
-                             text=True, env={**os.environ, "PYTHONPATH": str(src)})
-        report = (f"process exit {out.returncode}, stdout {out.stdout!r}, "
-                  f"stderr {out.stderr!r}")
-        assert out.returncode == 0, report
-        status, peak_kb = map(int, out.stdout.split())
-        report = f"status {status}, peak {peak_kb} KB, stderr {out.stderr!r}"
+        status, peak_kb, report = cli_status_and_peak(
+            "dilate", path, "--dim", "2", "-o", tmp_path / "c.json")
         assert status == 5, report
         assert peak_kb < 150 * 1024, report

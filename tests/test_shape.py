@@ -1,3 +1,5 @@
+import functools
+import itertools
 import os
 import subprocess
 import sys
@@ -10,11 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from conftest import (exhaustive_lattice_min, random_skew, reference_refine,
-                      reference_tied_step, smooth_curve, stepped_curve)
+from conftest import (exhaustive_lattice_min, random_skew, reference_cell_fit,
+                      reference_refine, reference_tied_step, smooth_curve, stepped_curve)
 import dilshape
 from dilshape import shape
-from dilshape.curves import ManifoldCurve, close_curve
+from dilshape.corr import estimate_ensemble_correlation, gen_pc_process
+from dilshape.curves import MAX_GRID, ManifoldCurve, close_curve, from_dilation
+from dilshape.dilation import build_dilation_sequence, extract_schur_params
 from dilshape.errors import (
     DegenerateCurve,
     DilshapeError,
@@ -34,7 +38,6 @@ from dilshape.shape import (
     shape_distance,
     tsrv,
     tsrv_inverse,
-    warp_tsrv,
 )
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -67,12 +70,6 @@ class TestTransform:
         pts = np.stack([np.eye(3)] * 5)
         with pytest.raises(VanishingVelocity):
             tsrv(ManifoldCurve(points=pts))
-
-    def test_warp_tsrv_identity(self):
-        c = stepped_curve(np.random.default_rng(3), 8, 3)
-        q = tsrv(c).values
-        phi = Reparametrization(values=np.linspace(0.0, 1.0, 9))
-        assert np.abs(warp_tsrv(q, phi) - q).max() < 1e-14
 
 
 def reference_inverse(start, q):
@@ -200,6 +197,16 @@ class TestShapeDistance:
         c0, c1 = stepped_curve(rng, 10, 3), stepped_curve(rng, 10, 3)
         with pytest.raises(GridMismatch):
             shape_distance(c0, c1, grid=5)
+
+    def test_lattice_past_the_cap_rejected(self):
+        # The lattice side is the multiple of the first curve's 10 segments
+        # at least the grid: 4,090 for a grid of 4,090, 4,100 for 4,091.
+        rng = np.random.default_rng(14)
+        c0, c1 = stepped_curve(rng, 10, 3), stepped_curve(rng, 7, 3)
+        assert MAX_GRID < 4100
+        assert shape._admitted([c0, c1], 4090, shared=False) == 4090
+        with pytest.raises(GridMismatch):
+            shape_distance(c0, c1, grid=4091)
 
     def test_degenerate_curve_rejected(self):
         c = stepped_curve(np.random.default_rng(15), 6, 3)
@@ -593,3 +600,77 @@ class TestKarcherMean:
         rng = np.random.default_rng(27)
         with pytest.raises(DimMismatch):
             karcher_mean([stepped_curve(rng, 10, 6), stepped_curve(rng, 10, 5)])
+
+
+def pc_curve(depth, seed):
+    """Dim-6 curve of a periodically modulated (depth 0.5) or stationary
+    (depth 0) ensemble, as in acceptance criterion 10."""
+    data = gen_pc_process(0.6, 4, depth, 16, seed, count=256)
+    return from_dilation(build_dilation_sequence(
+        extract_schur_params(estimate_ensemble_correlation(data, 16)), 6))
+
+
+STEPPED_FAMILIES = range(6)
+PC_FAMILIES = range(3)
+
+
+@functools.cache
+def mean_family(kind, index):
+    """Stepped families: 2 to 5 curves of 6 to 16 segments in SO(3) or SO(4),
+    drawn in order from one generator.  Criterion-10 families: two periodic
+    and two stationary curves."""
+    if kind == "pc":
+        return (pc_curve(0.5, 10 * index), pc_curve(0.5, 10 * index + 1),
+                pc_curve(0.0, 10 * index + 100), pc_curve(0.0, 10 * index + 101))
+    rng = np.random.default_rng(700)
+    for _ in range(index + 1):
+        n, d, count = (int(rng.integers(6, 17)), int(rng.integers(3, 5)),
+                       int(rng.integers(2, 6)))
+        family = tuple(stepped_curve(rng, n, d) for _ in range(count))
+    return family
+
+
+@functools.cache
+def mean_rounds(kind, index):
+    """Scores and templates of the mean's rounds, at most 200 of them."""
+    family = mean_family(kind, index)
+    qs = [shape._q_or_degenerate(c) for c in family]
+    return list(itertools.islice(shape._mean_rounds(qs, 2 * family[0].segments), 200))
+
+
+FAMILIES = [("stepped", k) for k in STEPPED_FAMILIES] + [("pc", k) for k in PC_FAMILIES]
+
+
+class TestMeanRounds:
+    @pytest.mark.parametrize("kind, index", FAMILIES)
+    def test_score_never_rises(self, kind, index):
+        scores = [score for score, _ in mean_rounds(kind, index)]
+        assert all(b <= a * (1.0 + 1e-12) for a, b in zip(scores, scores[1:])), scores
+
+    @pytest.mark.parametrize("kind, index", FAMILIES)
+    def test_rounds_stop_on_their_own(self, kind, index):
+        assert len(mean_rounds(kind, index)) < 200
+
+    @pytest.mark.parametrize("index", PC_FAMILIES)
+    def test_default_rounds_reach_the_stop(self, index):
+        family = list(mean_family("pc", index))
+        mean = karcher_mean(family)
+        assert np.array_equal(mean.points, karcher_mean(family, iters=200).points)
+        assert np.array_equal(mean.points, shape._from_identity(
+            mean_rounds("pc", index)[-1][1]).points)
+
+    def test_round_count_caps_the_rounds(self):
+        family = list(mean_family("stepped", 0))
+        mean = karcher_mean(family, iters=3)
+        want = shape._from_identity(mean_rounds("stepped", 0)[2][1])
+        assert np.array_equal(mean.points, want.points)
+
+
+class TestCellFit:
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 40])
+    def test_matches_dense_least_squares(self, n):
+        rng = np.random.default_rng(40 + n)
+        target = rng.standard_normal((shape.REFINE_CELLS * 2 * n, 9))
+        want = reference_cell_fit(target, n)
+        got = shape._cell_fit(target, n)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()

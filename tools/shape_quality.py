@@ -15,9 +15,14 @@ numpy and the standard library besides.  The line holds:
   n from 6 to 16 segments, shared by both curves of a pair), each compared as
   d(c0, c1) and d(c1, c0) at grid 2n and as d(c0, c1) at grid 4n.  It reports
   the count, the sum and the sha256 of the 600 distances as float64 bytes in
-  that order, so two commits that align identically print the same digest.
+  that order, so two commits that align identically print the same digest;
+- ``mean``: ``karcher_mean`` (default rounds and grid) of six families of two
+  periodic and two stationary dim-6 curves built as in criterion 10 (seeds
+  2f, 2f + 1, 100 + 2f and 101 + 2f for family f).  It reports the sum over
+  the families of the mean squared shape distance from the mean to its
+  inputs, and the sha256 of the six means' points as float64 bytes.
 
-Runs in 10 to 15 s on one core of a 2-vCPU KVM guest.
+Runs in 10 to 20 s on one core of a 2-vCPU KVM guest.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from dilshape.corr import estimate_ensemble_correlation, gen_pc_process  # noqa:
 from dilshape.curves import ManifoldCurve, from_dilation  # noqa: E402
 from dilshape.dilation import build_dilation_sequence, extract_schur_params  # noqa: E402
 from dilshape.liegroup import exp_group  # noqa: E402
-from dilshape.shape import curve_distance, shape_distance  # noqa: E402
+from dilshape.shape import curve_distance, karcher_mean, shape_distance  # noqa: E402
 
 # The smooth motion that acceptance criterion 08 reparametrizes.
 GEN_A = np.array([[0.0, -1.0, 0.3], [1.0, 0.0, -0.5], [-0.3, 0.5, 0.0]]) * 0.9
@@ -72,14 +77,15 @@ def criterion_08() -> dict:
     return ratios
 
 
-def criterion_10() -> float:
-    def curve_for(depth, seed):
-        data = gen_pc_process(0.6, 4, depth, 16, seed, count=256)
-        params = extract_schur_params(estimate_ensemble_correlation(data, 16))
-        return from_dilation(build_dilation_sequence(params, 6))
+def pc_curve(depth: float, seed: int) -> ManifoldCurve:
+    data = gen_pc_process(0.6, 4, depth, 16, seed, count=256)
+    params = extract_schur_params(estimate_ensemble_correlation(data, 16))
+    return from_dilation(build_dilation_sequence(params, 6))
 
-    periodic = [curve_for(0.5, s) for s in range(10)]
-    stationary = [curve_for(0.0, 100 + s) for s in range(10)]
+
+def criterion_10() -> float:
+    periodic = [pc_curve(0.5, s) for s in range(10)]
+    stationary = [pc_curve(0.0, 100 + s) for s in range(10)]
     grid = 2 * periodic[0].segments
     within = [shape_distance(g[i], g[j], grid=grid)[0] for g in (periodic, stationary)
               for i in range(10) for j in range(i + 1, 10)]
@@ -100,10 +106,22 @@ def stepped_pairs(pairs: int = 200) -> dict:
             "sha256": hashlib.sha256(values.tobytes()).hexdigest()}
 
 
+def means(families: int = 6) -> dict:
+    total, digest = 0.0, hashlib.sha256()
+    for f in range(families):
+        family = [pc_curve(0.5, 2 * f), pc_curve(0.5, 2 * f + 1),
+                  pc_curve(0.0, 100 + 2 * f), pc_curve(0.0, 101 + 2 * f)]
+        mean = karcher_mean(family)
+        grid = 2 * mean.segments
+        total += float(np.mean([shape_distance(mean, c, grid=grid)[0] ** 2 for c in family]))
+        digest.update(np.ascontiguousarray(mean.points, dtype=np.float64).tobytes())
+    return {"families": families, "sum_mean_sq": total, "sha256": digest.hexdigest()}
+
+
 def main() -> None:
     start = time.perf_counter()
     line = {"criterion_08": criterion_08(), "criterion_10": criterion_10(),
-            "stepped": stepped_pairs()}
+            "stepped": stepped_pairs(), "mean": means()}
     line["seconds"] = round(time.perf_counter() - start, 1)
     print(json.dumps(line))
 
