@@ -123,8 +123,7 @@ def _admitted(curves, grid: int | None = None, closed: bool = False,
     Checks, in order: at least one curve, every curve closed when ``closed``,
     one dim, one segment count when ``shared``, and an identity start unless
     ``closed``.  The grid defaults to twice the finest segment count and may
-    not fall below it, nor set a lattice side (the multiple of the first
-    curve's segment count that :func:`_dp_align` builds) above ``MAX_GRID``.
+    not fall below it.
     """
     if not curves:
         raise GridMismatch("no curves to compare")
@@ -142,9 +141,6 @@ def _admitted(curves, grid: int | None = None, closed: bool = False,
     grid = 2 * finest if grid is None else grid
     if grid < finest:
         raise GridMismatch(f"grid {grid} below curve resolution {finest}")
-    n0 = max(curves[0].segments, 1)
-    if n0 * -(-grid // n0) > MAX_GRID:
-        raise GridMismatch(f"grid {grid} sets a lattice side above {MAX_GRID}")
     return grid
 
 
@@ -199,9 +195,12 @@ def _dp_align(q0: np.ndarray, q1: np.ndarray, grid: int):
     sigma = b / a integrates |q0(t) - q1(phi(t)) sqrt(sigma)|^2 with the
     midpoint rule on the G sub-intervals it spans, reading both sequences
     through the piecewise-linear rule.  Returns (squared gap, warp nodes).
+    A G above MAX_GRID raises GridMismatch before anything is allocated.
     """
     n0 = q0.shape[0]
-    g = n0 * int(np.ceil(grid / n0))
+    g = n0 * -(-grid // n0)
+    if g > MAX_GRID:
+        raise GridMismatch(f"grid {grid} sets a lattice side {g} above {MAX_GRID}")
     p0 = _pl_at(q0, (np.arange(g) + 0.5) / g)
     # Edge costs of every start node, one table per step: the q1 reads of
     # sub-interval r sit on the node grid shifted by sigma (r + 1/2).  With

@@ -284,6 +284,12 @@ class TestLatticeCap:
         assert peak_kb < 150 * 1024, report
         assert not (tmp_path / "m.json").exists()
 
+    def test_curve_mode_builds_no_lattice(self, tmp_path):
+        # 3,000 segments: the default alignment grid would pass the cap.
+        curves = TestComparisonAdmission.write_curves(tmp_path, 3, 3)
+        assert run("dist", *curves, "--mode", "curve", "--resample", 3000) == 0
+        assert run("dist", *curves, "--resample", 3000) == 4
+
 
 class TestMalformedFiles:
     """Loader failures exit 5 (or 2 for a contract breach), never a traceback."""
@@ -495,10 +501,11 @@ class TestLoaderFuzz:
             # No curve has fewer than one segment, so a resample count below 1
             # never succeeds, and neither does a negative round count.
             too_few = resample is not None and resample < 1
-            # Nor does a count past the cap, or a grid past it where one is read.
+            # Nor does a count past the cap, or a grid past it where a lattice
+            # is built: not by dist --mode curve, nor by mean --iters 0.
             too_many = resample is not None and resample > MAX_GRID
             grid_past = grid is not None and grid > MAX_GRID
-            if too_few or too_many or grid_past or iters < 0:
+            if too_few or too_many or (grid_past and iters != 0) or iters < 0:
                 assert codes["mean"] != 0
             if too_few or too_many or (grid_past and mode != "curve"):
                 assert codes["dist"] != 0
