@@ -20,7 +20,7 @@ from .liegroup import ensure_rotation, exp_group, log_group, project_skew
 CLOSURE_TOL = 1e-8
 IDENTITY_TOL = 1e-8
 # Largest resampled segment count, and largest lattice side of an alignment:
-# the lattice search holds about ten tables of side^2 floats (1.3 GB at 4,000).
+# the lattice search holds about eight tables of side^2 floats (1.1 GB at 4,000).
 MAX_GRID = 4096
 
 
@@ -75,9 +75,9 @@ def from_dilation(seq: DilationSequence, closed: bool = False) -> ManifoldCurve:
 
     Each W_i is right-multiplied by W_0^T, which cancels the common
     determinant sign of the truncation matrices and lands every point in the
-    identity component.  W_0 is recorded as the curve's base.
+    identity component.  A copy of W_0, not a view of the sequence, is the base.
     """
-    w0 = seq.matrices[0]
+    w0 = seq.matrices[0].copy()
     pts = np.einsum("kij,lj->kil", seq.matrices, w0)
     curve = ManifoldCurve(points=_stack(pts), closed=False, base=_stack(w0))
     return close_curve(curve) if closed else curve

@@ -50,7 +50,7 @@ def _read_csv(path) -> list:
 
 
 def _write_json(path, payload) -> None:
-    Path(path).write_text(json.dumps(payload, indent=1) + "\n")
+    Path(path).write_text(json.dumps(payload) + "\n")
 
 
 def _format_of(path, fmt: str | None) -> str:

@@ -28,9 +28,9 @@ from .liegroup import exp_group
 
 Q_FLOOR = 1e-10
 
-# Lattice steps (a, b): advance a nodes in t and b in phi, slopes 1/3 .. 3.
-# The unit diagonal comes first so exact ties resolve to the identity warp.
-DP_STEPS = ((1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2), (2, 2), (3, 3))
+# Lattice steps (a, b) of a nodes in t and b in phi, coprime since k steps (a, b)
+# read and fill what one (k a, k b) does.  The unit diagonal leads, so ties keep it.
+DP_STEPS = ((1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2))
 
 # Warp refinement: node steps on REFINE_CELLS times the lattice cells, slopes
 # in [1/SLOPE_BOUND, SLOPE_BOUND] so none underflows, until a step changes the
@@ -157,12 +157,12 @@ def curve_distance(c0: ManifoldCurve, c1: ManifoldCurve) -> float:
 def geodesic_between(c0: ManifoldCurve, c1: ManifoldCurve, s: float) -> ManifoldCurve:
     """Point at parameter s on the geodesic of curves from c0 to c1.
 
-    Interpolates linearly in flat coordinates and integrates back.
-    Interpolated segments whose q norm collapses below the floor contribute
-    no motion instead of failing.
+    Interpolates linearly in flat coordinates and integrates back.  Segments
+    whose q norm is below the floor, at the ends or in between, contribute no
+    motion instead of failing.
     """
     _admitted([c0, c1])
-    return _from_identity((1.0 - s) * tsrv(c0).values + s * tsrv(c1).values)
+    return _from_identity((1.0 - s) * srv_values(c0)[0] + s * srv_values(c1)[0])
 
 
 def _pl_index(n: int, positions: np.ndarray):
@@ -225,7 +225,7 @@ def _dp_align(q0: np.ndarray, q1: np.ndarray, grid: int):
     # minimum wins, so exact ties resolve in DP_STEPS order.
     dist = np.full((g + 1, g + 1), np.inf)
     dist[0, 0] = 0.0
-    choice = np.full((g + 1, g + 1), -1, dtype=np.int8)
+    choice = np.empty((g + 1, g + 1), dtype=np.int8)
     cand = np.full((len(DP_STEPS), g + 1), np.inf)
     nodes = np.arange(g + 1)
     for i2 in range(1, g + 1):
@@ -235,7 +235,7 @@ def _dp_align(q0: np.ndarray, q1: np.ndarray, grid: int):
                 np.add(dist[i1, :g - b + 1], cost[i1], out=cand[step_idx, b:])
         best = cand.argmin(axis=0)
         dist[i2] = cand[best, nodes]
-        choice[i2] = np.where(np.isfinite(dist[i2]), best, -1)
+        choice[i2] = best
     if not np.isfinite(dist[g, g]):
         raise GridMismatch("no admissible lattice path; grid too coarse")
     # Trace the winning path back and fill phi at every t node.

@@ -89,6 +89,13 @@ class TestFromDilation:
         back = curves.sequence_from_curve(curves.from_dilation(seq))
         assert np.abs(back.matrices - seq.matrices).max() < 1e-12
 
+    def test_base_does_not_keep_the_sequence(self):
+        seq = dilation.build_dilation_sequence(ar_params(0.6, 8), 4)
+        c = curves.from_dilation(seq)
+        assert not np.shares_memory(c.base, seq.matrices)
+        back = curves.sequence_from_curve(c)
+        assert np.abs(back.matrices - seq.matrices).max() < 1e-12
+
     def test_close_curve_appends_start(self):
         seq = dilation.build_dilation_sequence(ar_params(0.6, 8), 4)
         c = curves.from_dilation(seq, closed=True)

@@ -30,7 +30,6 @@ from dilshape.errors import (
     VanishingVelocity,
 )
 from dilshape.shape import (
-    DP_STEPS,
     Reparametrization,
     closed_shape_distance,
     curve_distance,
@@ -161,6 +160,16 @@ class TestGeodesicBetween:
         assert np.abs(geodesic_between(c0, c1, 0.0).points - c0.points).max() < 1e-9
         assert np.abs(geodesic_between(c0, c1, 1.0).points - c1.points).max() < 1e-9
 
+    def test_repeated_sample_is_accepted(self):
+        # A held sample is a zero segment: the distances accept it, and so
+        # must the geodesic, which reproduces both ends.
+        rng = np.random.default_rng(9)
+        c0, c1 = stepped_curve(rng, 8, 3), stepped_curve(rng, 8, 3)
+        pts = np.concatenate([c0.points[:4], c0.points[3:8]])
+        held = ManifoldCurve(points=pts)
+        assert np.abs(geodesic_between(held, c1, 0.0).points - pts).max() < 1e-12
+        assert np.abs(geodesic_between(held, c1, 1.0).points - c1.points).max() < 1e-12
+
     def test_flat_coordinates_move_linearly(self):
         rng = np.random.default_rng(8)
         c0, c1 = stepped_curve(rng, 8, 3), stepped_curve(rng, 8, 3)
@@ -243,6 +252,11 @@ class TestShapeDistance:
         assert dac <= 1.01 * (dab + dbc) + 1e-12
 
 
+# Every step (a, b) with a, b <= 3, the multiples of the unit diagonal
+# included: the search over the coprime ones must lose nothing against them.
+ALL_STEPS = ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3))
+
+
 class TestLatticeSearchMatchesExhaustive:
     def test_matches_on_small_grids(self):
         rng = np.random.default_rng(16)
@@ -252,7 +266,7 @@ class TestLatticeSearchMatchesExhaustive:
             q0 = tsrv(c0).values
             q1 = tsrv(c1).values
             sq, path = shape._dp_align(q0, q1, n)
-            ref = exhaustive_lattice_min(q0, q1, n, DP_STEPS)
+            ref = exhaustive_lattice_min(q0, q1, n, ALL_STEPS)
             assert sq == pytest.approx(ref, abs=1e-12)
             assert warp_score(q0, q1, path) == pytest.approx(sq, abs=1e-12)
 
@@ -261,9 +275,23 @@ class TestLatticeSearchMatchesExhaustive:
         q0 = tsrv(stepped_curve(rng, 4, 3)).values
         q1 = tsrv(stepped_curve(rng, 6, 3)).values
         sq, path = shape._dp_align(q0, q1, 8)
-        ref = exhaustive_lattice_min(q0, q1, 8, DP_STEPS)
+        ref = exhaustive_lattice_min(q0, q1, 8, ALL_STEPS)
         assert sq == pytest.approx(ref, abs=1e-12)
         assert warp_score(q0, q1, path) == pytest.approx(sq, abs=1e-12)
+
+    def test_matches_on_random_small_pairs(self):
+        # Dropping any one coprime step raises the minimum on some of these
+        # pairs: (2, 3) on 1 of 30, (3, 2) on 2, each of the others on 12-26.
+        rng = np.random.default_rng(30)
+        for _ in range(30):
+            n0, n1 = rng.integers(2, 7, size=2)
+            grid = int(max(n0, n1) + rng.integers(0, 4))
+            q0 = tsrv(stepped_curve(rng, n0, 3)).values
+            q1 = tsrv(stepped_curve(rng, n1, 3)).values
+            sq, path = shape._dp_align(q0, q1, grid)
+            g = path.size - 1
+            assert sq == pytest.approx(exhaustive_lattice_min(q0, q1, g, ALL_STEPS), abs=1e-12)
+            assert warp_score(q0, q1, path) == pytest.approx(sq, abs=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 7])
     def test_piecewise_linear_read_matches_interp(self, n):
