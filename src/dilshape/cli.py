@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import corr, curves, dilation, io, shape
-from .errors import DegeneracyError, DilshapeError, FormatError, GridMismatch, SingularStep
+from .errors import DegeneracyError, DilshapeError, FormatError, GridMismatch
 
 EXIT_OK = 0
 
@@ -26,7 +26,7 @@ def _say(args, message: str) -> None:
 
 def cmd_parcors(args) -> int:
     matrix = io.load_matrix(args.input, args.format)
-    validated = corr.validate_spd(matrix, psd_tolerance=args.psd_tolerance)
+    validated = corr.validate_spd(matrix)
     params = dilation.extract_schur_params(validated)
     io.save_params(args.output, params)
     flagged = int(params.degenerate.sum())
@@ -37,10 +37,6 @@ def cmd_parcors(args) -> int:
 
 def cmd_dilate(args) -> int:
     params = io.load_params(args.params)
-    flagged = int(params.degenerate.sum())
-    if flagged:
-        raise SingularStep(f"{flagged} parameters are flagged degenerate; their "
-                           "values are unresolved, so no dilation is built")
     seq = dilation.build_dilation_sequence(params, args.dim, full=args.full)
     if args.sequence_out:
         io.save_sequence(args.sequence_out, seq)
@@ -159,8 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("parcors", help="extract contraction parameters from a matrix")
     p.add_argument("input", help="correlation matrix file")
     p.add_argument("-o", "--output", required=True, help="parameter file destination")
-    p.add_argument("--psd-tolerance", type=float, default=corr.DEFAULT_PSD_TOLERANCE,
-                   help="smallest eigenvalue accepted as positive definite")
     p.add_argument("--format", choices=("csv", "json"),
                    help="force the input format instead of going by extension")
 

@@ -22,15 +22,24 @@ from .errors import (
     NotSquare,
     NotSymmetric,
     OutOfRange,
+    _checked_int,
 )
 
-DEFAULT_PSD_TOLERANCE = 1e-10
+PSD_TOLERANCE = 1e-10
 REPAIR_EIGENVALUE_FLOOR = 1e-8
 SYMMETRY_RTOL = 1e-10
 TOEPLITZ_TOL = 1e-8
 
 # Steps simulated before sample 0 so the recursion forgets its zero start.
 _BURN_IN_FLOOR = 64
+
+# Largest size of a generated matrix or realization (no larger matrix can
+# become a parameter file), realization count and modulation period, checked
+# before anything is allocated: at the caps one ensemble holds 1.07 GB and the
+# burn-in runs 32,832 steps.
+MAX_SIZE = 2048
+MAX_COUNT = 65536
+MAX_PERIOD = 4096
 
 
 @dataclass(frozen=True)
@@ -80,7 +89,7 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def validate_spd(matrix, psd_tolerance: float = DEFAULT_PSD_TOLERANCE) -> CorrelationMatrix:
+def validate_spd(matrix) -> CorrelationMatrix:
     """Check and normalize a candidate correlation matrix.
 
     Parameters
@@ -88,8 +97,7 @@ def validate_spd(matrix, psd_tolerance: float = DEFAULT_PSD_TOLERANCE) -> Correl
     matrix : array_like
         Square symmetric matrix with positive diagonal.  A diagonal other
         than one is allowed and rescaled away via D^{-1/2} M D^{-1/2}.
-    psd_tolerance : float
-        Smallest admissible eigenvalue after rescaling.
+        After rescaling, its smallest eigenvalue must exceed ``PSD_TOLERANCE``.
 
     Returns
     -------
@@ -126,9 +134,9 @@ def validate_spd(matrix, psd_tolerance: float = DEFAULT_PSD_TOLERANCE) -> Correl
     if not np.isfinite(m).all():
         raise NotPositiveDefinite("an entry exceeds the bound its diagonal sets")
     smallest = float(np.linalg.eigvalsh(m)[0])
-    if smallest <= psd_tolerance:
+    if smallest <= PSD_TOLERANCE:
         raise NotPositiveDefinite(
-            f"smallest eigenvalue {smallest:.3e} <= tolerance {psd_tolerance:g}")
+            f"smallest eigenvalue {smallest:.3e} <= tolerance {PSD_TOLERANCE:g}")
     # PD with unit diagonal bounds entries by one; clip float dust only.
     m = np.clip(m, -1.0, 1.0)
     np.fill_diagonal(m, 1.0)
@@ -151,7 +159,7 @@ def estimate_ensemble_correlation(data: RealizationSet, n: int) -> CorrelationMa
 
     The raw estimate is the ensemble average of x[i]*x[j], rescaled to unit
     diagonal.  When the rescaled estimate fails the positive-definiteness
-    check (smallest eigenvalue above ``DEFAULT_PSD_TOLERANCE``), eigenvalues
+    check (smallest eigenvalue above ``PSD_TOLERANCE``), eigenvalues
     are clipped at ``REPAIR_EIGENVALUE_FLOOR``, the diagonal renormalized,
     and the result flagged as repaired.  Caller-provided matrices are never
     repaired silently; only this estimator takes the clipping path.
@@ -188,8 +196,7 @@ def gen_stationary_ar(a: float, n: int) -> CorrelationMatrix:
     """Correlation matrix a^{|i-j|} of a stationary first-order autoregression."""
     if not -1.0 < a < 1.0:
         raise OutOfRange(f"coefficient must lie in (-1, 1), got {a}")
-    if n < 1:
-        raise OutOfRange("n must be at least 1")
+    _checked_int(n, "n", 1, MAX_SIZE)
     row = a ** np.arange(n, dtype=float)
     return validate_spd(toeplitz(row))
 
@@ -199,18 +206,19 @@ def modulation_profile(period: int, depth: float, t) -> np.ndarray:
     return 1.0 + depth * np.cos(2.0 * np.pi * np.asarray(t, dtype=float) / period)
 
 
-def _check_pc(base_coefficient: float, period: int, depth: float, n: int,
-              count: int = 1) -> None:
-    """OutOfRange unless the periodically correlated model's arguments are
-    admissible; the interval tests fail on NaN too."""
+def _pc_burn_in(base_coefficient: float, period: int, depth: float, n: int,
+                count: int = 1) -> int:
+    """Steps run before sample 0 (8 periods plus a fixed floor), once the
+    periodically correlated model's arguments are found admissible;
+    OutOfRange otherwise, NaN included."""
     if not -1.0 < base_coefficient < 1.0:
         raise OutOfRange(f"coefficient must lie in (-1, 1), got {base_coefficient}")
-    if period < 1:
-        raise OutOfRange("period must be at least 1")
+    _checked_int(period, "period", 1, MAX_PERIOD)
     if not 0.0 <= depth < 1.0:
         raise OutOfRange(f"depth must lie in [0, 1), got {depth}")
-    if n < 1 or count < 1:
-        raise OutOfRange("n and count must be at least 1")
+    _checked_int(n, "n", 1, MAX_SIZE)
+    _checked_int(count, "count", 1, MAX_COUNT)
+    return 8 * period + _BURN_IN_FLOOR
 
 
 def gen_pc_process(base_coefficient: float, period: int, depth: float, n: int,
@@ -226,12 +234,12 @@ def gen_pc_process(base_coefficient: float, period: int, depth: float, n: int,
     the past (8 periods plus a fixed floor) that the returned samples carry
     no visible transient.
 
-    Randomness comes from a 64-bit PCG generator seeded with ``seed``; equal
-    arguments give bit-identical output.
+    Randomness comes from a 64-bit PCG generator seeded with ``seed``, a
+    non-negative integer; equal arguments give bit-identical output.  ``n``,
+    ``count`` and ``period`` may not exceed MAX_SIZE, MAX_COUNT and MAX_PERIOD.
     """
-    _check_pc(base_coefficient, period, depth, n, count)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    burn = 8 * period + _BURN_IN_FLOOR
+    burn = _pc_burn_in(base_coefficient, period, depth, n, count)
+    rng = np.random.Generator(np.random.PCG64(_checked_int(seed, "seed", 0)))
     x = np.zeros(count)
     out = np.empty((count, n))
     for t in range(-burn, n):
@@ -251,9 +259,8 @@ def pc_covariance_oracle(base_coefficient: float, period: int, depth: float,
     tests; not needed by the pipeline itself.  Takes the arguments
     :func:`gen_pc_process` takes, by the same checks.
     """
-    _check_pc(base_coefficient, period, depth, n)
+    burn = _pc_burn_in(base_coefficient, period, depth, n)
     a = base_coefficient
-    burn = 8 * period + _BURN_IN_FLOOR
     v = 0.0
     variances = np.empty(n)
     for t in range(-burn, n):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dilation import DilationSequence
-from .errors import DimMismatch, GridMismatch, OutOfRange, WrongComponent
+from .errors import DimMismatch, GridMismatch, OutOfRange, WrongComponent, _checked_int
 from .liegroup import ensure_rotation, exp_group, log_group, project_skew
 
 CLOSURE_TOL = 1e-8
@@ -152,7 +152,9 @@ def piecewise_geodesic(curve: ManifoldCurve, t: float) -> np.ndarray:
 
 def spline_resample(curve: ManifoldCurve, m: int) -> ManifoldCurve:
     """Resample to m + 1 points through a cubic spline in unrolled coordinates;
-    m may not fall below the curve's segment count nor exceed ``MAX_GRID``."""
+    m must be an integer, may not fall below the curve's segment count nor
+    exceed ``MAX_GRID``."""
+    m = _checked_int(m, "target resolution")
     n = curve.segments
     if n < 1:
         raise GridMismatch("resampling needs at least two samples")

@@ -75,13 +75,13 @@ class SchurParams:
     """Strictly upper triangular contraction parameters of a correlation matrix.
 
     ``gamma[k, j]`` for k < j holds the parameter; other entries are zero.
-    ``boundary`` marks entries that reached magnitude one, ``degenerate``
-    marks entries that could not be solved because the surrounding defect
-    product vanished (those are stored as zero).
+    ``degenerate`` marks entries that could not be solved because the
+    surrounding defect product vanished (stored as zero, with no dilation).
+    ``boundary`` reads off ``gamma`` the entries of magnitude one, to which
+    extraction snaps any within ``BOUNDARY_TOL`` of it.
     """
 
     gamma: np.ndarray
-    boundary: np.ndarray
     degenerate: np.ndarray
 
     def __post_init__(self):
@@ -99,16 +99,17 @@ class SchurParams:
     def n(self) -> int:
         return self.gamma.shape[0]
 
+    @property
+    def boundary(self) -> np.ndarray:
+        return np.abs(self.gamma) == 1.0
+
     @classmethod
     def from_gamma(cls, gamma) -> "SchurParams":
         g = np.triu(np.asarray(gamma, dtype=float), k=1)
         g.setflags(write=False)
-        shape = g.shape
-        boundary = np.abs(g) >= 1.0
-        boundary.setflags(write=False)
-        degenerate = np.zeros(shape, dtype=bool)
+        degenerate = np.zeros(g.shape, dtype=bool)
         degenerate.setflags(write=False)
-        return cls(gamma=g, boundary=boundary, degenerate=degenerate)
+        return cls(gamma=g, degenerate=degenerate)
 
 
 def stationary_params(parcors, n: int) -> SchurParams:
@@ -208,7 +209,6 @@ def extract_schur_params(matrix) -> SchurParams:
         raise OutOfRange("matrix entries must be finite")
     n = r.shape[0]
     gamma = np.zeros((n, n))
-    boundary = np.zeros((n, n), dtype=bool)
     degenerate = np.zeros((n, n), dtype=bool)
     for k, cols in _walk(gamma):
         lead = np.empty(cols.shape[1])
@@ -227,13 +227,12 @@ def extract_schur_params(matrix) -> SchurParams:
                         f"entry ({k}, {j}) solves to {value}, beyond the contraction range")
                 if abs(value) >= 1.0 - BOUNDARY_TOL:
                     value = float(np.copysign(1.0, value))
-                    boundary[k, j] = True
             gamma[k, j] = value
             lead[q] = prefix * value
             prefix *= defect(value)
-    for a in (gamma, boundary, degenerate):
+    for a in (gamma, degenerate):
         a.setflags(write=False)
-    return SchurParams(gamma=gamma, boundary=boundary, degenerate=degenerate)
+    return SchurParams(gamma=gamma, degenerate=degenerate)
 
 
 @dataclass(frozen=True)
@@ -266,8 +265,12 @@ def build_dilation_sequence(params: SchurParams, dim: int,
     i = n - dim, the last row whose parameters all exist; with ``full`` it
     runs through every row 0..n-2 and treats parameters beyond the triangle
     as zero, which leaves the product identity exact on the whole truncation
-    window and lets a dim = n sequence reproduce the entire matrix.
+    window and lets a dim = n sequence reproduce the entire matrix.  A set
+    with a ``degenerate`` (unresolved) entry has none and raises SingularStep.
     """
+    if params.degenerate.any():
+        raise SingularStep(f"{int(params.degenerate.sum())} parameters are flagged "
+                           "degenerate; their values are unresolved, so no dilation is built")
     n = params.n
     if dim < 2 or dim > n:
         raise BadDim(f"dim must lie in 2..{n}, got {dim}")

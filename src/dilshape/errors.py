@@ -1,4 +1,5 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the integer check that
+raises one.
 
 Every error raised on a contract violation derives from DilshapeError
 through exactly one of four category bases.  The category carries the
@@ -6,6 +7,8 @@ command line exit code and the stderr prefix as class constants, so a
 front end maps any failure by reading ``exc.exit_code`` and ``exc.prefix``
 instead of listing classes by name (see FORMATS.md, "Exit codes").
 """
+
+import operator
 
 
 class DilshapeError(Exception):
@@ -105,10 +108,25 @@ class NotClosed(ValidationError):
     """Operation requires closed curves."""
 
 
+def _checked_int(value, what: str, low: int | None = None, high: int | None = None) -> int:
+    """``value`` as an int; OutOfRange unless it is an integer (a float, NaN
+    included, is not) within ``low`` and ``high`` where they are given."""
+    try:
+        v = operator.index(value)
+    except TypeError:
+        raise OutOfRange(f"{what} must be an integer, got {value!r}") from None
+    if low is not None and v < low:
+        raise OutOfRange(f"{what} {v} is below {low}")
+    if high is not None and v > high:
+        raise OutOfRange(f"{what} {v} is above {high}")
+    return v
+
+
 # --- degeneracy -------------------------------------------------------------
 
 class SingularStep(DegeneracyError):
-    """Order recursion hit a non-positive prediction error."""
+    """Order recursion hit a non-positive prediction error, or a dilation was
+    asked of a parameter set with degenerate (unresolved) entries."""
 
 
 class NearCutLocus(DegeneracyError):

@@ -15,11 +15,11 @@ from pathlib import Path
 import numpy as np
 
 from .curves import ManifoldCurve, sequence_from_curve
-from .corr import RealizationSet
+from .corr import MAX_SIZE, RealizationSet
 from .dilation import DilationSequence, SchurParams
 from .errors import FormatError
 
-MAX_PARAMS_N = 2048  # largest n of a parameter file; readers allocate n x n
+MAX_PARAMS_N = MAX_SIZE  # largest n of a parameter file; readers allocate n x n
 
 
 def _as_float_array(data, what: str, ndim: int = 2) -> np.ndarray:
@@ -128,12 +128,14 @@ def load_params(path) -> SchurParams:
     for pair, value in _indexed(path, data, "gamma", n, 3):
         gamma[pair] = value
     params = SchurParams.from_gamma(gamma)
-    flags = {"boundary": params.boundary.copy(), "degenerate": params.degenerate.copy()}
-    for key, mask in flags.items():
-        for (pair,) in _indexed(path, data, key, n, 2):
-            mask[pair] = True
-        mask.setflags(write=False)
-    return SchurParams(gamma=params.gamma, **flags)
+    boundary, degenerate = params.boundary, params.degenerate.copy()
+    for (pair,) in _indexed(path, data, "boundary", n, 2):
+        if not boundary[pair]:
+            raise FormatError(f"{path}: 'boundary' pair {pair} has magnitude below one")
+    for (pair,) in _indexed(path, data, "degenerate", n, 2):
+        degenerate[pair] = True
+    degenerate.setflags(write=False)
+    return SchurParams(gamma=params.gamma, degenerate=degenerate)
 
 
 def save_params(path, params: SchurParams) -> None:

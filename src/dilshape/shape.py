@@ -15,6 +15,7 @@ cross table of the q0 cell reads against q1, and per-segment products of q1.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import islice
 
@@ -23,7 +24,7 @@ from scipy.linalg.lapack import dptsv
 
 from .curves import MAX_GRID, ManifoldCurve, _stack, srv_values
 from .errors import (DegenerateCurve, DimMismatch, GridMismatch, NotClosed, OutOfRange,
-                     VanishingVelocity)
+                     VanishingVelocity, _checked_int)
 from .liegroup import exp_group
 
 Q_FLOOR = 1e-10
@@ -65,6 +66,8 @@ class Reparametrization:
 
     def __post_init__(self):
         v = self.values
+        if not (isinstance(v, np.ndarray) and v.dtype.kind in "biuf" and np.isfinite(v).all()):
+            raise OutOfRange("warp values must be a finite numeric numpy array")
         if v.ndim != 1 or v.size < 2:
             raise GridMismatch("warp needs at least two nodes")
         if abs(v[0]) > 1e-12 or abs(v[-1] - 1.0) > 1e-12:
@@ -138,7 +141,7 @@ def _admitted(curves, grid: int | None = None, closed: bool = False,
     if not closed and not all(c.starts_at_identity() for c in curves):
         raise GridMismatch("curves must start at the identity; translate before comparing")
     finest = segments[-1]
-    grid = 2 * finest if grid is None else grid
+    grid = 2 * finest if grid is None else _checked_int(grid, "grid")
     if grid < finest:
         raise GridMismatch(f"grid {grid} below curve resolution {finest}")
     return grid
@@ -215,7 +218,7 @@ def _dp_align(q0: np.ndarray, q1: np.ndarray, grid: int):
         sigma = b / a
         rows, cols = g - a + 1, g - b + 1
         shifted = (np.arange(cols) + sigma * (np.arange(a)[:, None] + 0.5)) / g
-        v = _pl_at(q1, np.minimum(shifted, 1.0).ravel()).reshape(a, cols, -1)
+        v = _pl_at(q1, shifted.ravel()).reshape(a, cols, -1)
         v = v.transpose(1, 0, 2).reshape(cols, -1)
         p = np.concatenate([p0[r:r + rows] for r in range(a)], axis=1)
         tables.append((np.einsum("md,md->m", p, p)[:, None]
@@ -236,8 +239,6 @@ def _dp_align(q0: np.ndarray, q1: np.ndarray, grid: int):
         best = cand.argmin(axis=0)
         dist[i2] = cand[best, nodes]
         choice[i2] = best
-    if not np.isfinite(dist[g, g]):
-        raise GridMismatch("no admissible lattice path; grid too coarse")
     # Trace the winning path back and fill phi at every t node.
     phi_nodes = np.empty(g + 1)
     i, j = g, g
@@ -525,11 +526,11 @@ def karcher_mean(curves: list[ManifoldCurve], iters: int = 24,
                  grid: int | None = None) -> ManifoldCurve:
     """Elastic mean of a family of curves on a common grid: at most ``iters``
     of :func:`_mean_rounds` from the unaligned average, integrated back to a
-    curve.  ``iters`` = 0 returns the unaligned average, and a negative count
-    raises OutOfRange.  ``grid`` defaults to twice the curves' segment count.
+    curve.  ``iters`` = 0 returns the unaligned average, one past
+    ``sys.maxsize`` runs until the stop rule, and a negative count raises
+    OutOfRange.  ``grid`` defaults to twice the curves' segment count.
     """
-    if iters < 0:
-        raise OutOfRange(f"round count {iters} is negative")
+    iters = min(_checked_int(iters, "round count", 0), sys.maxsize)
     grid = _admitted(curves, grid)
     qs = [_q_or_degenerate(c) for c in curves]
     qbar = np.mean(qs, axis=0)

@@ -191,7 +191,7 @@ def cli_status_and_peak(*argv):
     interpreter, plus a report for assertion messages."""
     src = Path(shape.__file__).resolve().parents[1]
     out = subprocess.run([sys.executable, "-c", _CHILD, *map(str, argv)],
-                         capture_output=True, text=True,
+                         capture_output=True, text=True, timeout=120,
                          env={**os.environ, "PYTHONPATH": str(src)})
     assert out.returncode == 0, (f"process exit {out.returncode}, stdout {out.stdout!r}, "
                                  f"stderr {out.stderr!r}")

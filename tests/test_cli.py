@@ -11,7 +11,7 @@ from scipy.linalg import expm
 from conftest import cli_status_and_peak, stepped_curve
 from dilshape import io
 from dilshape.cli import main
-from dilshape.curves import MAX_GRID
+from dilshape.curves import MAX_GRID, close_curve
 from dilshape.shape import geodesic_between
 
 
@@ -82,6 +82,27 @@ class TestGen:
         m = io.load_matrix(out)
         assert m[0, 2] == pytest.approx(0.25)
 
+    def test_format_overrides_extension(self, tmp_path):
+        out = tmp_path / "ar.txt"
+        assert run("gen", "ar", "--size", 4, "--format", "json", "-o", out) == 0
+        assert json.loads(out.read_text())["n"] == 4
+        params = tmp_path / "p.json"
+        assert run("parcors", out, "-o", params) == 5
+        assert run("parcors", out, "--format", "json", "-o", params) == 0
+
+    @pytest.mark.parametrize("argv", [("pc", "--seed", -1),
+                                      ("pc", "--size", 10 ** 23),
+                                      ("pc", "--count", 10 ** 23),
+                                      ("ar", "--size", 10 ** 23),
+                                      ("pc", "--period", 10 ** 9)])
+    def test_counts_past_caps_exit_before_allocating(self, tmp_path, argv):
+        out = tmp_path / "out.json"
+        status, peak_kb, report = cli_status_and_peak("gen", *argv, "-o", out)
+        assert status == 2, report
+        assert "validation error:" in report
+        assert peak_kb < 150 * 1024, report
+        assert not out.exists()
+
 
 class TestDistAndMean:
     @pytest.fixture()
@@ -119,6 +140,20 @@ class TestDistAndMean:
         d_curve = float(text[1].split(",")[2])
         d_shape = float(shape_out.read_text().strip().splitlines()[1].split(",")[2])
         assert d_shape <= d_curve + 1e-12
+
+    def test_closed_mode(self, two_curves, tmp_path):
+        assert run("dist", *two_curves, "--mode", "closed") == 2
+        closed = []
+        for k, path in enumerate(two_curves):
+            closed.append(tmp_path / f"closed{k}.json")
+            io.save_curve(closed[-1], close_curve(io.load_curve(path)))
+        found = {}
+        for mode in ("closed", "shape"):
+            out = tmp_path / f"{mode}.csv"
+            assert run("dist", *closed, "--mode", mode, "--grid", 24, "-o", out) == 0
+            found[mode] = float(out.read_text().splitlines()[1].split(",")[2])
+        # Shift zero of the closed search is the shape alignment itself.
+        assert 0.0 < found["closed"] <= found["shape"]
 
     def test_mean_output_loads(self, two_curves, tmp_path):
         out = tmp_path / "mean.json"
@@ -191,6 +226,33 @@ class TestExitCodes:
         assert run("reconstruct", seq, "--entry", 0, 7) == 4
         assert "window/grid error" in capsys.readouterr().err
 
+    def test_compare_with_smaller_reference(self, tmp_path, capsys):
+        mat = tmp_path / "ar.json"
+        run("gen", "ar", "--size", 8, "-o", mat)
+        params = tmp_path / "p.json"
+        run("parcors", mat, "-o", params)
+        curve = tmp_path / "c.json"
+        run("dilate", params, "--dim", 3, "-o", curve)
+        small = write_matrix(tmp_path / "small.json", [[1.0, 0.5], [0.5, 1.0]])
+        capsys.readouterr()
+        assert run("reconstruct", curve, "--compare", small) == 4
+        assert "window/grid error" in capsys.readouterr().err
+
+    def test_dilate_rejects_boundary_flag_below_one(self, tmp_path, capsys):
+        params = tmp_path / "p.json"
+        params.write_text(json.dumps({"n": 3, "gamma": [[0, 1, 0.5]],
+                                      "boundary": [[0, 1]]}))
+        out = tmp_path / "c.json"
+        assert run("dilate", params, "--dim", 3, "-o", out) == 5
+        assert "i/o error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_parcors_has_one_eigenvalue_floor(self, tmp_path):
+        mat = write_matrix(tmp_path / "r.json", [[1.0, 0.5], [0.5, 1.0]])
+        with pytest.raises(SystemExit) as info:
+            run("parcors", mat, "--psd-tolerance", "nan", "-o", tmp_path / "p.json")
+        assert info.value.code == 2
+
     def test_missing_file(self, tmp_path, capsys):
         assert run("parcors", tmp_path / "nope.json", "-o", tmp_path / "p.json") == 5
         assert "i/o error" in capsys.readouterr().err
@@ -249,6 +311,15 @@ class TestComparisonAdmission:
         assert run("mean", *curves, "--iters", iters, "-o", tmp_path / "m.json") == 2
         assert capsys.readouterr().err.startswith("validation error:")
         assert not (tmp_path / "m.json").exists()
+
+    def test_mean_rounds_past_maxsize_run_to_the_stop_rule(self, tmp_path):
+        curves = self.write_curves(tmp_path, 3, 3)
+        out = tmp_path / "m.json"
+        status, _, report = cli_status_and_peak("mean", *curves, "--iters", 10 ** 23,
+                                                "-o", out)
+        assert status == 0, report
+        assert run("mean", *curves, "--iters", 10 ** 6, "-o", tmp_path / "ref.json") == 0
+        assert out.read_text() == (tmp_path / "ref.json").read_text()
 
     def test_mean_zero_rounds_is_the_unaligned_average(self, tmp_path):
         c0, c1 = self.write_curves(tmp_path, 3, 3)

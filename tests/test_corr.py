@@ -147,6 +147,27 @@ class TestGenerators:
         scale = 1.0 / np.sqrt(np.diag(cov))
         assert np.abs(cov * np.outer(scale, scale) - ar_matrix(0.5, 8)).max() < 1e-12
 
+    @pytest.mark.parametrize("make", [
+        lambda: corr.gen_pc_process(0.6, 4, 0.5, 8, seed=-1),
+        lambda: corr.gen_pc_process(0.6, 4, 0.5, 8, seed=2.5),
+        lambda: corr.gen_pc_process(0.6, 4, 0.5, corr.MAX_SIZE + 1, seed=0),
+        lambda: corr.gen_pc_process(0.6, 4, 0.5, 8, seed=0, count=corr.MAX_COUNT + 1),
+        lambda: corr.gen_pc_process(0.6, corr.MAX_PERIOD + 1, 0.5, 8, seed=0),
+        lambda: corr.gen_pc_process(0.6, 4.5, 0.5, 8, seed=0),
+        lambda: corr.pc_covariance_oracle(0.6, corr.MAX_PERIOD + 1, 0.5, 8),
+        lambda: corr.gen_stationary_ar(0.6, corr.MAX_SIZE + 1),
+        lambda: corr.gen_stationary_ar(0.6, float("nan")),
+    ])
+    def test_counts_past_caps_are_out_of_range(self, make):
+        with pytest.raises(OutOfRange):
+            make()
+
+    def test_caps_are_inclusive(self):
+        assert corr.gen_pc_process(0.6, corr.MAX_PERIOD, 0.5, corr.MAX_SIZE, seed=0,
+                                   count=1).length == corr.MAX_SIZE
+        assert corr.gen_pc_process(0.6, 1, 0.5, 1, seed=0,
+                                   count=corr.MAX_COUNT).count == corr.MAX_COUNT
+
     def test_pc_parameter_checks(self):
         with pytest.raises(OutOfRange):
             corr.gen_pc_process(0.6, 0, 0.5, 8, seed=0)

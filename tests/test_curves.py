@@ -116,6 +116,12 @@ class TestVelocityAndInterpolation:
         for k in range(7):
             assert np.abs(curves.piecewise_geodesic(c, k / 6) - c.points[k]).max() < 1e-12
 
+    def test_piecewise_geodesic_on_one_sample(self):
+        point = random_rotation(np.random.default_rng(3), 3)
+        c = ManifoldCurve(points=point[None])
+        for t in (0.0, 0.4, 1.0):
+            assert np.array_equal(curves.piecewise_geodesic(c, t), point)
+
     def test_piecewise_geodesic_parameter_range(self):
         c = stepped_curve(np.random.default_rng(2), 4, 3)
         with pytest.raises(GridMismatch):
@@ -145,6 +151,11 @@ class TestSplineResample:
         assert curves.spline_resample(c, curves.MAX_GRID).segments == curves.MAX_GRID
         with pytest.raises(GridMismatch):
             curves.spline_resample(c, curves.MAX_GRID + 1)
+
+    @pytest.mark.parametrize("m", [10.5, float("nan")])
+    def test_refuses_non_integer_counts(self, m):
+        with pytest.raises(OutOfRange):
+            curves.spline_resample(stepped_curve(np.random.default_rng(4), 5, 3), m)
 
     def test_converges_to_smooth_motion(self):
         # Resampling a coarse sampling of a smooth motion should approach

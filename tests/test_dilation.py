@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -82,6 +84,14 @@ class TestSchurParams:
         g[0, 1] = 1.5
         with pytest.raises(NotAContraction):
             SchurParams.from_gamma(g)
+
+    def test_boundary_is_read_off_gamma(self):
+        g = np.zeros((3, 3))
+        g[0, 1] = -1.0
+        g[1, 2] = 0.5
+        p = SchurParams.from_gamma(g)
+        assert [f.name for f in dataclasses.fields(p)] == ["gamma", "degenerate"]
+        assert np.argwhere(p.boundary).tolist() == [[0, 1]]
 
     def test_stationary_layout(self):
         p = dilation.stationary_params([0.5, -0.2], 4)
@@ -293,6 +303,18 @@ class TestDilationSequence:
             dilation.build_dilation_sequence(p, 1)
         with pytest.raises(BadDim):
             dilation.build_dilation_sequence(p, 5)
+
+    @pytest.mark.parametrize("dim, full", [(2, False), (3, True)])
+    def test_refuses_degenerate_sets(self, dim, full):
+        g = np.zeros((3, 3))
+        g[0, 1] = 1.0  # zero defect blocks the lag-2 solve
+        g[1, 2] = 0.3
+        p = dilation.extract_schur_params(
+            dilation.reconstruct_matrix(SchurParams.from_gamma(g)))
+        assert p.degenerate[0, 2]
+        with pytest.raises(SingularStep) as info:
+            dilation.build_dilation_sequence(p, dim, full=full)
+        assert info.value.exit_code == 3
 
     def test_products_reproduce_entries(self):
         p = dilation.extract_schur_params(R4)

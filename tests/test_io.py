@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import cli_status_and_peak
-from dilshape import dilation, io
+from dilshape import corr, dilation, io
 from dilshape.errors import FormatError
 
 
@@ -28,6 +28,14 @@ class TestParamsFile:
         path = tmp_path / "p.json"
         path.write_text(json.dumps({"n": 3, "gamma": [[0, 1, -1.0]]}))
         assert np.argwhere(io.load_params(path).boundary).tolist() == [[0, 1]]
+
+    @pytest.mark.parametrize("value", [0.5, None])
+    def test_rejects_boundary_pair_below_one(self, tmp_path, value):
+        gamma = [] if value is None else [[0, 1, value]]
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"n": 3, "gamma": gamma, "boundary": [[0, 1]]}))
+        with pytest.raises(FormatError, match="boundary"):
+            io.load_params(path)
 
     @pytest.mark.parametrize("pairs", [[[1, 1]], [[0, 3]], [[2, 0]], [[0]], [["a", 1]], 5])
     def test_rejects_bad_flag_pairs(self, tmp_path, pairs):
@@ -66,3 +74,21 @@ class TestParamsFile:
             "dilate", path, "--dim", "2", "-o", tmp_path / "c.json")
         assert status == 5, report
         assert peak_kb < 150 * 1024, report
+
+
+class TestRealizationsFile:
+    @pytest.mark.parametrize("name, fmt", [("r.json", None), ("r.csv", None),
+                                           ("r.txt", "json"), ("r.json", "csv")])
+    def test_round_trip(self, tmp_path, name, fmt):
+        data = corr.gen_pc_process(0.6, 4, 0.5, 5, seed=2, count=3)
+        path = tmp_path / name
+        io.save_realizations(path, data, fmt)
+        assert io.load_realizations(path, fmt).samples.tolist() == data.samples.tolist()
+
+    def test_format_overrides_extension(self, tmp_path):
+        path = tmp_path / "r.txt"
+        io.save_realizations(path, corr.gen_pc_process(0.6, 4, 0.5, 5, seed=2, count=3),
+                             "json")
+        assert json.loads(path.read_text())["count"] == 3
+        with pytest.raises(FormatError):
+            io.load_realizations(path)

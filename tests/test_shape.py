@@ -117,6 +117,12 @@ class TestReparametrization:
         with pytest.raises(GridMismatch):
             Reparametrization(values=np.array([0.0, 0.7, 0.5, 1.0]))
 
+    @pytest.mark.parametrize("values", [np.array([0.0, np.nan, 1.0]), [0.0, 0.5, 1.0],
+                                        np.array(["0", "1"])])
+    def test_rejects_non_finite_and_non_arrays(self, values):
+        with pytest.raises(OutOfRange):
+            Reparametrization(values=values)
+
 
 class TestCurveDistance:
     def test_requires_same_grid(self):
@@ -185,6 +191,12 @@ class TestShapeDistance:
         assert d < 1e-9
         grid = np.linspace(0.0, 1.0, phi.values.size)
         assert np.abs(phi.values - grid).max() < 1e-12
+
+    @pytest.mark.parametrize("grid", [12.5, float("nan"), 20.0])
+    def test_rejects_non_integer_grid(self, grid):
+        c = stepped_curve(np.random.default_rng(9), 10, 3)
+        with pytest.raises(OutOfRange):
+            shape_distance(c, c, grid=grid)
 
     def test_never_exceeds_curve_distance(self):
         rng = np.random.default_rng(10)
