@@ -3,179 +3,6 @@
 The package factors a symmetric positive definite correlation matrix into
 contraction parameters, assembles the corresponding sequence of rotation
 matrices, and treats that sequence as a curve on the rotation group so
-that whole processes can be compared by elastic shape distance.
+that whole processes can be compared by elastic shape distance.  The
+namespace re-exports nothing: import each stage from its module.
 """
-
-from .corr import (
-    CorrelationMatrix,
-    RealizationSet,
-    estimate_ensemble_correlation,
-    gen_pc_process,
-    gen_stationary_ar,
-    is_toeplitz,
-    modulation_profile,
-    pc_covariance_oracle,
-    validate_spd,
-)
-from .curves import (
-    ManifoldCurve,
-    close_curve,
-    discrete_velocity,
-    from_dilation,
-    path_energy,
-    piecewise_geodesic,
-    sequence_from_curve,
-    spline_resample,
-    srv_values,
-    warp_curve,
-)
-from .dilation import (
-    DilationSequence,
-    SchurParams,
-    build_dilation_sequence,
-    defect,
-    extract_schur_params,
-    givens,
-    levinson,
-    naimark_matrix,
-    reconstruct_correlation,
-    reconstruct_matrix,
-    reconstructible_window,
-    stationary_params,
-)
-from .errors import (
-    BadDim,
-    BadPosition,
-    DegeneracyError,
-    DegenerateCurve,
-    DegenerateVariance,
-    DilshapeError,
-    DimMismatch,
-    FormatError,
-    GridMismatch,
-    InsufficientRealizations,
-    NearCutLocus,
-    NonPositiveDiagonal,
-    NotAContraction,
-    NotClosed,
-    NotOrthogonal,
-    NotPositiveDefinite,
-    NotSkew,
-    NotSquare,
-    NotSymmetric,
-    NotTangent,
-    OutOfRange,
-    SingularStep,
-    TruncationWindowExceeded,
-    ValidationError,
-    VanishingVelocity,
-    WindowError,
-    WrongComponent,
-)
-from .liegroup import (
-    bracket,
-    ensure_rotation,
-    ensure_skew,
-    exp_group,
-    geodesic,
-    geodesic_distance,
-    inner,
-    log_group,
-    norm,
-    project_skew,
-    transport_to_identity,
-)
-from .shape import (
-    Reparametrization,
-    TsrvCurve,
-    closed_shape_distance,
-    curve_distance,
-    geodesic_between,
-    karcher_mean,
-    shape_distance,
-    tsrv,
-    tsrv_inverse,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "BadDim",
-    "BadPosition",
-    "CorrelationMatrix",
-    "DegeneracyError",
-    "DegenerateCurve",
-    "DegenerateVariance",
-    "DilationSequence",
-    "DilshapeError",
-    "DimMismatch",
-    "FormatError",
-    "GridMismatch",
-    "InsufficientRealizations",
-    "ManifoldCurve",
-    "NearCutLocus",
-    "NonPositiveDiagonal",
-    "NotAContraction",
-    "NotClosed",
-    "NotOrthogonal",
-    "NotPositiveDefinite",
-    "NotSkew",
-    "NotSquare",
-    "NotSymmetric",
-    "NotTangent",
-    "OutOfRange",
-    "RealizationSet",
-    "Reparametrization",
-    "SchurParams",
-    "SingularStep",
-    "TruncationWindowExceeded",
-    "TsrvCurve",
-    "ValidationError",
-    "VanishingVelocity",
-    "WindowError",
-    "WrongComponent",
-    "bracket",
-    "build_dilation_sequence",
-    "close_curve",
-    "closed_shape_distance",
-    "curve_distance",
-    "defect",
-    "discrete_velocity",
-    "ensure_rotation",
-    "ensure_skew",
-    "estimate_ensemble_correlation",
-    "exp_group",
-    "extract_schur_params",
-    "from_dilation",
-    "gen_pc_process",
-    "gen_stationary_ar",
-    "geodesic",
-    "geodesic_between",
-    "geodesic_distance",
-    "givens",
-    "inner",
-    "is_toeplitz",
-    "karcher_mean",
-    "levinson",
-    "log_group",
-    "modulation_profile",
-    "naimark_matrix",
-    "norm",
-    "path_energy",
-    "pc_covariance_oracle",
-    "piecewise_geodesic",
-    "project_skew",
-    "reconstruct_correlation",
-    "reconstruct_matrix",
-    "reconstructible_window",
-    "sequence_from_curve",
-    "shape_distance",
-    "spline_resample",
-    "srv_values",
-    "stationary_params",
-    "transport_to_identity",
-    "tsrv",
-    "tsrv_inverse",
-    "validate_spd",
-    "warp_curve",
-]

@@ -28,7 +28,6 @@ from .errors import (
 PSD_TOLERANCE = 1e-10
 REPAIR_EIGENVALUE_FLOOR = 1e-8
 SYMMETRY_RTOL = 1e-10
-TOEPLITZ_TOL = 1e-8
 
 # Steps simulated before sample 0 so the recursion forgets its zero start.
 _BURN_IN_FLOOR = 64
@@ -143,17 +142,6 @@ def validate_spd(matrix) -> CorrelationMatrix:
     return CorrelationMatrix(entries=_freeze(m))
 
 
-def is_toeplitz(matrix) -> bool:
-    """True when every diagonal is constant to within TOEPLITZ_TOL (max minus min)."""
-    e = getattr(matrix, "entries", matrix)
-    n = e.shape[0]
-    for lag in range(1, n):
-        band = np.diagonal(e, offset=lag)
-        if float(band.max() - band.min()) > TOEPLITZ_TOL:
-            return False
-    return True
-
-
 def estimate_ensemble_correlation(data: RealizationSet, n: int) -> CorrelationMatrix:
     """Estimate the correlation of the first ``n`` coordinates of an ensemble.
 
@@ -170,11 +158,12 @@ def estimate_ensemble_correlation(data: RealizationSet, n: int) -> CorrelationMa
         Fewer than two realizations.
     DegenerateVariance
         Some coordinate is identically zero across the ensemble.
+    OutOfRange
+        ``n`` is not an integer in 1..min(length, MAX_SIZE).
     """
     if data.count < 2:
         raise InsufficientRealizations(f"need at least 2 realizations, got {data.count}")
-    if n < 1 or n > data.length:
-        raise OutOfRange(f"n={n} outside 1..{data.length}")
+    n = _checked_int(n, "n", 1, min(data.length, MAX_SIZE))
     x = data.samples[:, :n]
     second_moment = x.T @ x / data.count
     d = np.diag(second_moment).copy()

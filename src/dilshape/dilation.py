@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .corr import MAX_SIZE
 from .errors import (
     BadDim,
     BadPosition,
@@ -34,6 +35,7 @@ from .errors import (
     OutOfRange,
     SingularStep,
     TruncationWindowExceeded,
+    _checked_int,
 )
 from .liegroup import ensure_rotation
 
@@ -57,6 +59,8 @@ def givens(gamma: float, position: int, dim: int) -> np.ndarray:
     columns (position, position + 1), zero-based; the rest is the identity.
     gamma = 0 gives a plain transposition of the two coordinates.
     """
+    dim = _checked_int(dim, "dim", high=MAX_SIZE)
+    position = _checked_int(position, "position")
     if dim < 2:
         raise BadPosition(f"dim must be at least 2, got {dim}")
     if not 0 <= position <= dim - 2:
@@ -114,6 +118,7 @@ class SchurParams:
 
 def stationary_params(parcors, n: int) -> SchurParams:
     """Lift per-lag parcors to the constant-diagonal parameter set of size n."""
+    n = _checked_int(n, "n", 0, MAX_SIZE)
     p = np.asarray(parcors, dtype=float)
     if np.abs(p).max(initial=0.0) > 1.0:
         raise NotAContraction("parcors must have magnitude at most 1")
@@ -272,6 +277,7 @@ def build_dilation_sequence(params: SchurParams, dim: int,
         raise SingularStep(f"{int(params.degenerate.sum())} parameters are flagged "
                            "degenerate; their values are unresolved, so no dilation is built")
     n = params.n
+    dim = _checked_int(dim, "dim")
     if dim < 2 or dim > n:
         raise BadDim(f"dim must lie in 2..{n}, got {dim}")
     count = (n - 1) if full else (n - dim + 1)
@@ -292,6 +298,8 @@ def reconstruct_correlation(seq: DilationSequence, i: int, j: int) -> float:
     within the truncation window dim - 1 and the product must not run off
     the end of the sequence.
     """
+    i = _checked_int(i, "i")
+    j = _checked_int(j, "j")
     if not 0 <= i < j:
         raise TruncationWindowExceeded(f"need 0 <= i < j, got ({i}, {j})")
     if j - i > seq.dim - 1:
@@ -325,6 +333,7 @@ def naimark_matrix(parcors, dim: int) -> np.ndarray:
     zero.  Powers reproduce the stationary correlations: e1^T U^k e1 = R_k
     for k up to dim - 1.
     """
+    dim = _checked_int(dim, "dim", high=MAX_SIZE)
     if dim < 2:
         raise BadDim(f"dim must be at least 2, got {dim}")
     supplied = np.asarray(parcors, dtype=float).ravel()

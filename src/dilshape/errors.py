@@ -100,10 +100,6 @@ class NotSkew(ValidationError):
     """Matrix is not skew-symmetric within tolerance."""
 
 
-class NotTangent(ValidationError):
-    """Vector is not tangent at the claimed base point."""
-
-
 class NotClosed(ValidationError):
     """Operation requires closed curves."""
 

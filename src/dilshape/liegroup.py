@@ -1,10 +1,10 @@
-"""Rotation-group primitives: exponential, principal log, metric, transport.
+"""Rotation-group primitives: checks, exponential, principal log, distance.
 
 Group elements are plain orthogonal ndarrays with determinant +1, algebra
-elements are skew-symmetric ndarrays.  The metric is the flat trace form
-inner(A, B) = trace(A B^T), bi-invariant on the group; no extra scale factor
-is applied, so dim 2 (where the Killing form vanishes) uses the same
-formulas as everything else.
+elements are skew-symmetric ndarrays.  The pipeline needs the exponential
+and the logarithm; distances use the flat trace form trace(A B^T) on the
+algebra, bi-invariant on the group, with no extra scale factor, so dim 2
+(where the Killing form vanishes) uses the same formulas as everything else.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from .errors import (
     NearCutLocus,
     NotOrthogonal,
     NotSkew,
-    NotTangent,
     OutOfRange,
     WrongComponent,
 )
@@ -25,7 +24,6 @@ from .errors import (
 CUT_MARGIN = 1e-6
 ORTHOGONALITY_TOL = 1e-9
 SKEW_TOL = 1e-10
-TANGENT_TOL = 1e-8
 
 
 def project_skew(m) -> np.ndarray:
@@ -102,62 +100,9 @@ def log_group(g) -> np.ndarray:
     return project_skew((sv * f[..., None, :]) @ np.swapaxes(vecs, -1, -2))
 
 
-def inner(a, b) -> float:
-    """trace(a b^T), the flat bi-invariant metric on the algebra."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise DimMismatch(f"shapes {a.shape} and {b.shape} differ")
-    return float(np.sum(a * b))
-
-
-def norm(a) -> float:
-    return float(np.sqrt(max(0.0, inner(a, a))))
-
-
-def bracket(a, b) -> np.ndarray:
-    """Commutator [a, b] = ab - ba of two algebra elements."""
-    a = ensure_skew(a)
-    b = ensure_skew(b)
-    if a.shape != b.shape:
-        raise DimMismatch(f"shapes {a.shape} and {b.shape} differ")
-    return project_skew(a @ b - b @ a)
-
-
-def transport_to_identity(g, v) -> np.ndarray:
-    """Right-translate a tangent vector v at g to the algebra: v g^T.
-
-    Raises NotTangent when v g^T is not skew within tolerance, i.e. v was
-    not actually tangent at g.
-    """
-    g = ensure_rotation(g)
-    v = np.asarray(v, dtype=float)
-    if v.shape != g.shape:
-        raise DimMismatch(f"shapes {v.shape} and {g.shape} differ")
-    try:
-        return ensure_skew(v @ g.T, TANGENT_TOL)
-    except NotSkew:
-        raise NotTangent("v is not tangent at g") from None
-
-
-def geodesic(g0, g1, s: float) -> np.ndarray:
-    """Point at parameter s on the geodesic from g0 to g1.
-
-    exp(s log(g1 g0^T)) g0; s = 0 and s = 1 give the endpoints, the speed
-    is constant, and the whole path stays in the group.  s must be finite.
-    """
-    s = float(s)
-    if not np.isfinite(s):
-        raise OutOfRange(f"path parameter {s} is not finite")
-    g0 = ensure_rotation(g0)
-    g1 = ensure_rotation(g1)
-    if g0.shape != g1.shape:
-        raise DimMismatch(f"shapes {g0.shape} and {g1.shape} differ")
-    return exp_group(s * log_group(g1 @ g0.T)) @ g0
-
-
 def geodesic_distance(g0, g1) -> float:
-    """Length of the connecting geodesic: norm of log(g1 g0^T)."""
+    """Length of the connecting geodesic: Frobenius norm of log(g1 g0^T)."""
     g0 = ensure_rotation(g0)
     g1 = ensure_rotation(g1)
-    return norm(log_group(g1 @ g0.T))
+    omega = log_group(g1 @ g0.T)
+    return float(np.sqrt(np.sum(omega * omega)))

@@ -162,8 +162,11 @@ def geodesic_between(c0: ManifoldCurve, c1: ManifoldCurve, s: float) -> Manifold
 
     Interpolates linearly in flat coordinates and integrates back.  Segments
     whose q norm is below the floor, at the ends or in between, contribute no
-    motion instead of failing.
+    motion instead of failing.  s must be finite.
     """
+    s = float(s)
+    if not np.isfinite(s):
+        raise OutOfRange(f"path parameter {s} is not finite")
     _admitted([c0, c1])
     return _from_identity((1.0 - s) * srv_values(c0)[0] + s * srv_values(c1)[0])
 

@@ -69,19 +69,6 @@ class TestValidateSpd:
             m.entries[0, 0] = 2.0
 
 
-class TestToeplitz:
-    def test_stationary_is_toeplitz(self):
-        assert corr.is_toeplitz(ar_matrix(0.7, 6))
-
-    def test_perturbed_is_not(self):
-        r = ar_matrix(0.7, 6)
-        r[0, 1] = r[1, 0] = 0.9
-        assert not corr.is_toeplitz(r)
-
-    def test_accepts_wrapped_matrix(self):
-        assert corr.is_toeplitz(corr.validate_spd(ar_matrix(0.5, 4)))
-
-
 class TestEnsembleEstimate:
     def test_matches_analytic_second_moments(self):
         # m(t) scaling of the innovations makes the true covariance
@@ -116,6 +103,12 @@ class TestEnsembleEstimate:
         data = corr.RealizationSet(samples=np.random.default_rng(1).standard_normal((16, 4)))
         with pytest.raises(OutOfRange):
             corr.estimate_ensemble_correlation(data, 5)
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, np.nan])
+    def test_prefix_length_must_be_an_integer(self, n):
+        data = corr.RealizationSet(samples=np.random.default_rng(1).standard_normal((16, 4)))
+        with pytest.raises(OutOfRange):
+            corr.estimate_ensemble_correlation(data, n)
 
 
 class TestGenerators:

@@ -9,7 +9,7 @@ from conftest import random_rotation, smooth_curve, smooth_point, stepped_curve
 from dilshape import curves, dilation
 from dilshape.curves import ManifoldCurve
 from dilshape.errors import GridMismatch, NotOrthogonal, OutOfRange, WrongComponent
-from dilshape.liegroup import geodesic_distance, log_group, norm
+from dilshape.liegroup import geodesic_distance, log_group
 
 
 def reference_interpolant(curve, params, smooth):

@@ -418,3 +418,34 @@ class TestNonFiniteParcors:
         # The third parcor lies beyond the window of dim 3 and is checked too.
         with pytest.raises(OutOfRange):
             dilation.naimark_matrix([bad if p is None else p for p in parcors], 3)
+
+
+class TestSizeArguments:
+    """A size or index that is not an integer, or is past the size cap, is
+    OutOfRange before anything is indexed or allocated."""
+
+    @pytest.mark.parametrize("position, dim", [(0.5, 3), (0, 2.5), (0, 10 ** 12)])
+    def test_givens(self, position, dim):
+        with pytest.raises(OutOfRange):
+            dilation.givens(0.5, position, dim)
+
+    @pytest.mark.parametrize("n", [2.5, -3, 10 ** 12])
+    def test_stationary_params(self, n):
+        with pytest.raises(OutOfRange):
+            dilation.stationary_params([0.5], n)
+
+    @pytest.mark.parametrize("dim", [2.5, 3.0, np.nan])
+    def test_build_dilation_sequence(self, dim):
+        with pytest.raises(OutOfRange):
+            dilation.build_dilation_sequence(dilation.stationary_params([0.5, 0.2], 6), dim)
+
+    @pytest.mark.parametrize("i, j", [(0.5, 2), (0, 2.0)])
+    def test_reconstruct_correlation(self, i, j):
+        seq = dilation.build_dilation_sequence(dilation.stationary_params([0.5, 0.2], 6), 4)
+        with pytest.raises(OutOfRange):
+            dilation.reconstruct_correlation(seq, i, j)
+
+    @pytest.mark.parametrize("dim", [2.5, 3.0, 10 ** 12])
+    def test_naimark_matrix(self, dim):
+        with pytest.raises(OutOfRange):
+            dilation.naimark_matrix([0.5], dim)

@@ -183,6 +183,13 @@ class TestGeodesicBetween:
         second = qs[0] - 2.0 * qs[1] + qs[2]
         assert np.abs(second).max() < 1e-12
 
+    @pytest.mark.parametrize("s", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_parameter_is_out_of_range(self, s):
+        rng = np.random.default_rng(10)
+        c0, c1 = stepped_curve(rng, 8, 3), stepped_curve(rng, 8, 3)
+        with pytest.raises(OutOfRange, match="path parameter"):
+            geodesic_between(c0, c1, s)
+
 
 class TestShapeDistance:
     def test_self_distance_is_zero_with_identity_warp(self):
@@ -556,7 +563,7 @@ class TestRefinement:
 class TestImport:
     def test_import_leaves_scipy_optimize_unloaded(self):
         src = Path(dilshape.__file__).resolve().parents[1]
-        code = "import dilshape, sys; print('scipy.optimize' in sys.modules)"
+        code = "import dilshape.cli, sys; print('scipy.optimize' in sys.modules)"
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, check=True,
                              env={**os.environ, "PYTHONPATH": str(src)})
