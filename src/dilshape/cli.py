@@ -99,14 +99,9 @@ def cmd_dist(args) -> int:
             else:
                 value, _ = shape.shape_distance(cs[a], cs[b], args.grid)
             out[a, b] = out[b, a] = value
+    io.save_distance_matrix(args.output or sys.stdout, names, out)
     if args.output:
-        io.save_distance_matrix(args.output, names, out)
         _say(args, f"wrote {k}x{k} distance matrix to {args.output}")
-    else:
-        writer = sys.stdout
-        writer.write("," + ",".join(names) + "\n")
-        for name, row in zip(names, out):
-            writer.write(name + "," + ",".join(f"{v:.17g}" for v in row) + "\n")
     return EXIT_OK
 
 

@@ -82,7 +82,8 @@ class RealizationSet:
         return self.samples.shape[1]
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
+def _freeze(a) -> np.ndarray:
+    """``a`` as a contiguous read-only float array."""
     a = np.ascontiguousarray(a, dtype=float)
     a.setflags(write=False)
     return a
@@ -190,24 +191,21 @@ def gen_stationary_ar(a: float, n: int) -> CorrelationMatrix:
     return validate_spd(toeplitz(row))
 
 
-def modulation_profile(period: int, depth: float, t) -> np.ndarray:
-    """Periodic driving amplitude m(t) = 1 + depth*cos(2*pi*t/period)."""
-    return 1.0 + depth * np.cos(2.0 * np.pi * np.asarray(t, dtype=float) / period)
-
-
-def _pc_burn_in(base_coefficient: float, period: int, depth: float, n: int,
-                count: int = 1) -> int:
-    """Steps run before sample 0 (8 periods plus a fixed floor), once the
-    periodically correlated model's arguments are found admissible;
-    OutOfRange otherwise, NaN included."""
+def _pc_amplitudes(base_coefficient: float, period: int, depth: float, n: int,
+                   count: int = 1) -> np.ndarray:
+    """Driving amplitudes m(t) = 1 + depth*cos(2*pi*t/period) of the periodically
+    correlated model for t = -burn .. n-1, burn being 8 periods plus a fixed
+    floor, once its arguments are found admissible; OutOfRange otherwise, NaN
+    included."""
     if not -1.0 < base_coefficient < 1.0:
         raise OutOfRange(f"coefficient must lie in (-1, 1), got {base_coefficient}")
-    _checked_int(period, "period", 1, MAX_PERIOD)
+    period = _checked_int(period, "period", 1, MAX_PERIOD)
     if not 0.0 <= depth < 1.0:
         raise OutOfRange(f"depth must lie in [0, 1), got {depth}")
-    _checked_int(n, "n", 1, MAX_SIZE)
+    n = _checked_int(n, "n", 1, MAX_SIZE)
     _checked_int(count, "count", 1, MAX_COUNT)
-    return 8 * period + _BURN_IN_FLOOR
+    t = np.arange(-(8 * period + _BURN_IN_FLOOR), n, dtype=float)
+    return 1.0 + depth * np.cos(2.0 * np.pi * t / period)
 
 
 def gen_pc_process(base_coefficient: float, period: int, depth: float, n: int,
@@ -227,12 +225,12 @@ def gen_pc_process(base_coefficient: float, period: int, depth: float, n: int,
     non-negative integer; equal arguments give bit-identical output.  ``n``,
     ``count`` and ``period`` may not exceed MAX_SIZE, MAX_COUNT and MAX_PERIOD.
     """
-    burn = _pc_burn_in(base_coefficient, period, depth, n, count)
+    amplitudes = _pc_amplitudes(base_coefficient, period, depth, n, count)
     rng = np.random.Generator(np.random.PCG64(_checked_int(seed, "seed", 0)))
     x = np.zeros(count)
     out = np.empty((count, n))
-    for t in range(-burn, n):
-        x = base_coefficient * x + modulation_profile(period, depth, t) * rng.standard_normal(count)
+    for t, m in enumerate(amplitudes, start=n - amplitudes.size):
+        x = base_coefficient * x + m * rng.standard_normal(count)
         if t >= 0:
             out[:, t] = x
     return RealizationSet(samples=_freeze(out))
@@ -248,16 +246,15 @@ def pc_covariance_oracle(base_coefficient: float, period: int, depth: float,
     tests; not needed by the pipeline itself.  Takes the arguments
     :func:`gen_pc_process` takes, by the same checks.
     """
-    burn = _pc_burn_in(base_coefficient, period, depth, n)
+    amplitudes = _pc_amplitudes(base_coefficient, period, depth, n)
     a = base_coefficient
     v = 0.0
-    variances = np.empty(n)
-    for t in range(-burn, n):
-        v = a * a * v + float(modulation_profile(period, depth, t)) ** 2
-        if t >= 0:
-            variances[t] = v
-    cov = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            cov[i, j] = cov[j, i] = a ** (j - i) * variances[i]
-    return cov
+    variances = []
+    for m in amplitudes.tolist():
+        v = a * a * v + m ** 2
+        variances.append(v)
+    # Powers in Python floats, a ** k bit for bit; np.power may round otherwise.
+    powers = np.array([a ** k for k in range(n)])
+    index = np.arange(n)
+    return (powers[np.abs(index - index[:, None])]
+            * np.array(variances[-n:])[np.minimum(index, index[:, None])])

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .corr import _freeze
 from .dilation import DilationSequence
 from .errors import DimMismatch, GridMismatch, OutOfRange, WrongComponent, _checked_int
 from .liegroup import ensure_rotation, exp_group, log_group, project_skew
@@ -64,12 +65,6 @@ class ManifoldCurve:
         return float(np.abs(self.points[0] - np.eye(self.dim)).max()) <= IDENTITY_TOL
 
 
-def _stack(points) -> np.ndarray:
-    arr = np.ascontiguousarray(points, dtype=float)
-    arr.setflags(write=False)
-    return arr
-
-
 def from_dilation(seq: DilationSequence, closed: bool = False) -> ManifoldCurve:
     """Curve of the sequence, translated to start at the identity.
 
@@ -79,7 +74,7 @@ def from_dilation(seq: DilationSequence, closed: bool = False) -> ManifoldCurve:
     """
     w0 = seq.matrices[0].copy()
     pts = np.einsum("kij,lj->kil", seq.matrices, w0)
-    curve = ManifoldCurve(points=_stack(pts), closed=False, base=_stack(w0))
+    curve = ManifoldCurve(points=_freeze(pts), closed=False, base=_freeze(w0))
     return close_curve(curve) if closed else curve
 
 
@@ -87,7 +82,7 @@ def sequence_from_curve(curve: ManifoldCurve) -> DilationSequence:
     """Undo :func:`from_dilation` using the recorded base factor."""
     base = curve.base if curve.base is not None else np.eye(curve.dim)
     mats = np.einsum("kij,jl->kil", curve.points, base)
-    return DilationSequence(matrices=_stack(mats), dim=curve.dim)
+    return DilationSequence(matrices=_freeze(mats), dim=curve.dim)
 
 
 def close_curve(curve: ManifoldCurve) -> ManifoldCurve:
@@ -98,7 +93,7 @@ def close_curve(curve: ManifoldCurve) -> ManifoldCurve:
         new = np.concatenate([pts[:-1], pts[:1]], axis=0)
     else:
         new = np.concatenate([pts, pts[:1]], axis=0)
-    return ManifoldCurve(points=_stack(new), closed=True, base=curve.base)
+    return ManifoldCurve(points=_freeze(new), closed=True, base=curve.base)
 
 
 def _step_logs(curve: ManifoldCurve) -> np.ndarray:
@@ -111,7 +106,7 @@ def discrete_velocity(curve: ManifoldCurve) -> np.ndarray:
     """Per-segment velocity v_k = N log(x_{k+1} x_k^T), right-trivialized."""
     if curve.segments < 1:
         raise GridMismatch("velocity needs at least two samples")
-    return _stack(curve.segments * _step_logs(curve))
+    return _freeze(curve.segments * _step_logs(curve))
 
 
 def _interpolate(curve: ManifoldCurve, params: np.ndarray, smooth: bool) -> np.ndarray:
@@ -163,7 +158,7 @@ def spline_resample(curve: ManifoldCurve, m: int) -> ManifoldCurve:
     if m > MAX_GRID:
         raise GridMismatch(f"target resolution {m} above MAX_GRID {MAX_GRID}")
     pts = _interpolate(curve, np.linspace(0.0, 1.0, m + 1), smooth=True)
-    return ManifoldCurve(points=_stack(pts), closed=curve.closed, base=None)
+    return ManifoldCurve(points=_freeze(pts), closed=curve.closed, base=None)
 
 
 def warp_curve(curve: ManifoldCurve, phi, smooth: bool = False) -> ManifoldCurve:
@@ -183,7 +178,7 @@ def warp_curve(curve: ManifoldCurve, phi, smooth: bool = False) -> ManifoldCurve
     if not np.isfinite(values).all():
         raise OutOfRange("warp values must be finite")
     pts = _interpolate(curve, np.clip(values, 0.0, 1.0), smooth)
-    return ManifoldCurve(points=_stack(pts), closed=curve.closed, base=None)
+    return ManifoldCurve(points=_freeze(pts), closed=curve.closed, base=None)
 
 
 def srv_values(curve: ManifoldCurve) -> tuple[np.ndarray, np.ndarray]:

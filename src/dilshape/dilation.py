@@ -44,11 +44,23 @@ CONTRACTION_SLACK = 1e-9
 BOUNDARY_TOL = 1e-12
 
 
+def _contractions(values, what: str) -> np.ndarray:
+    """``values`` as a float array of contractions: OutOfRange where an entry
+    is not finite, NotAContraction where its magnitude exceeds one."""
+    a = np.asarray(values, dtype=float)
+    if not np.isfinite(a).all():
+        raise OutOfRange(f"{what} must be finite")
+    peak = float(np.abs(a).max(initial=0.0))
+    if peak > 1.0:
+        raise NotAContraction(f"{what} must have magnitude at most 1, got {peak!r}")
+    return a
+
+
 def defect(gamma: float) -> float:
-    """sqrt(1 - gamma^2) for a contraction gamma; OutOfRange otherwise, NaN included."""
+    """sqrt(1 - gamma^2) for a contraction gamma; errors as :func:`_contractions`."""
     g = float(gamma)
-    if not abs(g) <= 1.0 + BOUNDARY_TOL:  # NaN fails too
-        raise OutOfRange(f"|gamma| = {abs(g)} is not at most 1")
+    if not abs(g) <= 1.0:  # NaN fails too
+        _contractions(g, "gamma")
     return float(np.sqrt(max(0.0, 1.0 - g * g)))
 
 
@@ -92,10 +104,7 @@ class SchurParams:
         g = self.gamma
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise NotSquare(f"gamma must be square, got shape {g.shape}")
-        if not np.isfinite(g).all():
-            raise OutOfRange("gamma entries must be finite")
-        if float(np.abs(g).max(initial=0.0)) > 1.0:
-            raise NotAContraction("|gamma| entries must not exceed 1")
+        _contractions(g, "gamma entries")
         if np.any(np.tril(g) != 0.0):
             raise OutOfRange("only strictly upper triangular entries may be set")
 
@@ -119,9 +128,7 @@ class SchurParams:
 def stationary_params(parcors, n: int) -> SchurParams:
     """Lift per-lag parcors to the constant-diagonal parameter set of size n."""
     n = _checked_int(n, "n", 0, MAX_SIZE)
-    p = np.asarray(parcors, dtype=float)
-    if np.abs(p).max(initial=0.0) > 1.0:
-        raise NotAContraction("parcors must have magnitude at most 1")
+    p = _contractions(parcors, "parcors")
     by_lag = np.zeros(n)
     head = p[:max(n - 1, 0)]
     by_lag[1:head.size + 1] = head
@@ -253,7 +260,7 @@ class DilationSequence:
             raise BadDim(f"expected shape (count, {self.dim}, {self.dim}), got {m.shape}")
         if not np.isfinite(m).all():
             raise OutOfRange("sequence entries must be finite")
-        ensure_rotation(m, tol=1e-10)
+        ensure_rotation(m)
 
     @property
     def count(self) -> int:
@@ -336,9 +343,7 @@ def naimark_matrix(parcors, dim: int) -> np.ndarray:
     dim = _checked_int(dim, "dim", high=MAX_SIZE)
     if dim < 2:
         raise BadDim(f"dim must be at least 2, got {dim}")
-    supplied = np.asarray(parcors, dtype=float).ravel()
-    if not (np.abs(supplied) <= 1.0 + BOUNDARY_TOL).all():
-        raise OutOfRange("parcors must be finite with magnitude at most 1")
+    supplied = _contractions(parcors, "parcors").ravel()
     u = np.eye(dim)
     _rotate(u, np.concatenate([supplied, np.zeros(dim - 1)])[:dim - 1])
     return u

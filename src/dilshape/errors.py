@@ -77,7 +77,8 @@ class OutOfRange(ValidationError):
 
 
 class NotAContraction(ValidationError):
-    """A solved or supplied parameter exceeds magnitude one."""
+    """A supplied parameter has magnitude above one, or a solved one above
+    1 + dilation.CONTRACTION_SLACK; a non-finite one is OutOfRange instead."""
 
 
 class BadPosition(ValidationError):

@@ -49,6 +49,18 @@ def _read_csv(path) -> list:
         raise FormatError(f"{path}: unreadable CSV ({exc})") from exc
 
 
+def _write_csv(dest, rows) -> None:
+    """Rows of strings as CSV, lines ending in LF, to a path or an open text stream."""
+    if not hasattr(dest, "write"):
+        with open(dest, "w", newline="") as handle:
+            return _write_csv(handle, rows)
+    csv.writer(dest, lineterminator="\n").writerows(rows)
+
+
+def _numbers(table) -> list:
+    return [[f"{v:.17g}" for v in row] for row in np.asarray(table, dtype=float)]
+
+
 def _write_json(path, payload) -> None:
     Path(path).write_text(json.dumps(payload) + "\n")
 
@@ -77,7 +89,7 @@ def save_matrix(path, matrix, fmt: str | None = None) -> None:
     if _format_of(path, fmt) == "json":
         _write_json(path, {"n": m.shape[0], "entries": m.tolist()})
     else:
-        np.savetxt(path, m, delimiter=",", fmt="%.17g")
+        _write_csv(path, _numbers(m))
 
 
 def load_realizations(path, fmt: str | None = None) -> RealizationSet:
@@ -94,7 +106,7 @@ def save_realizations(path, data: RealizationSet, fmt: str | None = None) -> Non
         _write_json(path, {"count": data.count, "length": data.length,
                            "samples": data.samples.tolist()})
     else:
-        np.savetxt(path, data.samples, delimiter=",", fmt="%.17g")
+        _write_csv(path, _numbers(data.samples))
 
 
 def _indexed(path, data: dict, key: str, n: int, width: int) -> list:
@@ -202,8 +214,6 @@ def save_curve(path, curve: ManifoldCurve) -> None:
 
 
 def save_distance_matrix(path, names: list[str], matrix: np.ndarray) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow([""] + list(names))
-        for name, row in zip(names, np.asarray(matrix)):
-            writer.writerow([name] + [f"{v:.17g}" for v in row])
+    """Labelled distance table to a file ``path`` or an open text stream such as stdout."""
+    _write_csv(path, [["", *names]]
+               + [[name, *row] for name, row in zip(names, _numbers(matrix))])

@@ -22,6 +22,7 @@ from .errors import (
 )
 
 CUT_MARGIN = 1e-6
+# The one tolerance of every rotation and skew check: curves and sequences alike.
 ORTHOGONALITY_TOL = 1e-9
 SKEW_TOL = 1e-10
 
@@ -32,8 +33,8 @@ def project_skew(m) -> np.ndarray:
     return 0.5 * (m - np.swapaxes(m, -1, -2))
 
 
-def ensure_skew(m, tol: float = SKEW_TOL) -> np.ndarray:
-    """Check that m, or every matrix of a stack (..., d, d), is skew-symmetric."""
+def ensure_skew(m) -> np.ndarray:
+    """Check that m, or every matrix of a stack (..., d, d), is skew within SKEW_TOL."""
     m = np.asarray(m, dtype=float)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise DimMismatch(f"expected a square matrix, got shape {m.shape}")
@@ -41,21 +42,21 @@ def ensure_skew(m, tol: float = SKEW_TOL) -> np.ndarray:
         raise OutOfRange("matrix entries must be finite")
     scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1), initial=0.0))
     gap = np.abs(m + np.swapaxes(m, -1, -2)).max(axis=(-2, -1), initial=0.0)
-    if (gap > tol * scale).any():
+    if (gap > SKEW_TOL * scale).any():
         raise NotSkew("matrix is not skew-symmetric within tolerance")
     return project_skew(m)
 
 
-def ensure_rotation(g, tol: float = ORTHOGONALITY_TOL) -> np.ndarray:
+def ensure_rotation(g) -> np.ndarray:
     """Check that g, or every matrix of a stack (..., d, d), is orthogonal."""
     g = np.asarray(g, dtype=float)
     if g.ndim < 2 or g.shape[-1] != g.shape[-2]:
         raise DimMismatch(f"expected a square matrix, got shape {g.shape}")
     # No entry of an orthogonal matrix exceeds one; checking that first
     # rejects NaN and keeps g g^T from overflowing.
-    bounded = float(np.abs(g).max(initial=0.0)) <= 1.0 + tol
+    bounded = float(np.abs(g).max(initial=0.0)) <= 1.0 + ORTHOGONALITY_TOL
     if not bounded or float(np.abs(g @ np.swapaxes(g, -1, -2)
-                                   - np.eye(g.shape[-1])).max(initial=0.0)) > tol:
+                                   - np.eye(g.shape[-1])).max(initial=0.0)) > ORTHOGONALITY_TOL:
         raise NotOrthogonal("matrix is not orthogonal within tolerance")
     return g
 

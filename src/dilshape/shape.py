@@ -22,7 +22,8 @@ from itertools import islice
 import numpy as np
 from scipy.linalg.lapack import dptsv
 
-from .curves import MAX_GRID, ManifoldCurve, _stack, srv_values
+from .corr import _freeze
+from .curves import MAX_GRID, ManifoldCurve, srv_values
 from .errors import (DegenerateCurve, DimMismatch, GridMismatch, NotClosed, OutOfRange,
                      VanishingVelocity, _checked_int)
 from .liegroup import exp_group
@@ -92,7 +93,7 @@ def tsrv(curve: ManifoldCurve) -> TsrvCurve:
     if bad.any():
         raise VanishingVelocity(
             f"{int(bad.sum())} of {q.shape[0]} segments below Q_FLOOR {Q_FLOOR:g}")
-    return TsrvCurve(start=_stack(curve.points[0]), values=_stack(q))
+    return TsrvCurve(start=_freeze(curve.points[0]), values=_freeze(q))
 
 
 def tsrv_inverse(t: TsrvCurve) -> ManifoldCurve:
@@ -109,14 +110,14 @@ def tsrv_inverse(t: TsrvCurve) -> ManifoldCurve:
     pts[0] = t.start
     for k, step in enumerate(steps):
         pts[k + 1] = step @ pts[k]
-    return ManifoldCurve(points=_stack(pts), closed=False, base=None)
+    return ManifoldCurve(points=_freeze(pts), closed=False, base=None)
 
 
 def _from_identity(q: np.ndarray) -> ManifoldCurve:
     """Integrate q values from the identity; segments below Q_FLOOR hold still."""
     q = np.array(q, dtype=float)
     q[np.sqrt(np.einsum("kij,kij->k", q, q)) < Q_FLOOR] = 0.0
-    return tsrv_inverse(TsrvCurve(start=_stack(np.eye(q.shape[1])), values=_stack(q)))
+    return tsrv_inverse(TsrvCurve(start=_freeze(np.eye(q.shape[1])), values=_freeze(q)))
 
 
 def _admitted(curves, grid: int | None = None, closed: bool = False,
@@ -330,12 +331,6 @@ def _system(reads):
     return diag, aa - bb, grad
 
 
-def _gauss_newton(phi: np.ndarray, tables):
-    """Score, slopes and node system of a warp: :func:`_read`, then :func:`_system`."""
-    cost, s, reads = _read(phi, tables)
-    return (cost, s, *_system(reads))
-
-
 def _free_step(diag, off, grad):
     """Damped node step with the end nodes fixed and every other node free;
     None when LAPACK finds the system singular."""
@@ -466,7 +461,7 @@ def shape_distance(c0: ManifoldCurve, c1: ManifoldCurve,
     """
     grid = _admitted([c0, c1], grid, shared=False)
     sq, phi_nodes = _aligned(_q_or_degenerate(c0), _q_or_degenerate(c1), grid)
-    return float(np.sqrt(sq)), Reparametrization(values=_stack(phi_nodes))
+    return float(np.sqrt(sq)), Reparametrization(values=_freeze(phi_nodes))
 
 
 def closed_shape_distance(c0: ManifoldCurve, c1: ManifoldCurve,

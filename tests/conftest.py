@@ -117,11 +117,17 @@ def reference_tied_step(diag, off, grad, tied):
     return x[group]
 
 
+def gauss_newton(phi, tables):
+    """Score, slopes and node system of a warp: ``shape._read``, then ``shape._system``."""
+    cost, s, reads = shape._read(phi, tables)
+    return (cost, s, *shape._system(reads))
+
+
 def reference_refine(p0, q1, phi_nodes):
     """The warp refinement as a plain Levenberg-Marquardt loop, for identity
     checks of the production one.
 
-    Every trial warp gets its full node system from ``_gauss_newton``, every
+    Every trial warp gets its full node system from :func:`gauss_newton`, every
     solve, the first of a step included, goes through the grouped
     :func:`reference_tied_step`, and the slopes are clipped and summed with
     ``np.clip``, ``np.diff`` and ``np.concatenate``.  Returns (warp, score).
@@ -139,7 +145,7 @@ def reference_refine(p0, q1, phi_nodes):
 
     tables = shape._gram_tables(p0, q1)
     phi = phi_nodes
-    cost, s, diag, off, grad = shape._gauss_newton(phi, tables)
+    cost, s, diag, off, grad = gauss_newton(phi, tables)
     lam = 1e-3 * max(diag.max(), 1.0)
     for _ in range(shape.REFINE_ITERS):
         at_lo = s <= (1.0 + 1e-9) / shape.SLOPE_BOUND
@@ -155,7 +161,7 @@ def reference_refine(p0, q1, phi_nodes):
             lam *= 4.0
             continue
         new_phi = bounded_warp(s + ds * s.size)
-        new = shape._gauss_newton(new_phi, tables)
+        new = gauss_newton(new_phi, tables)
         change = cost - new[0]
         if change > 0.0:
             phi, (cost, s, diag, off, grad) = new_phi, new

@@ -20,6 +20,8 @@ from dilshape.corr import (
     estimate_ensemble_correlation,
     gen_pc_process,
     gen_stationary_ar,
+    pc_covariance_oracle,
+    validate_spd,
 )
 from dilshape.curves import ManifoldCurve, from_dilation, spline_resample
 from dilshape.dilation import (
@@ -116,6 +118,21 @@ def test_criterion_03_stationary_collapses_to_single_rotation():
     assert spread < 1e-12
     assert gap < 1e-12
     assert power_err < 1e-9
+
+
+@pytest.mark.parametrize("dim", [6, 8])
+def test_periodicity_passes_to_the_dilation_matrices(dim):
+    # The exact correlation of a process modulated with period 4: its rotation
+    # sequence repeats with period 4 to rounding, W_{i+4} = W_i, while
+    # neighbouring matrices stay far apart, so the period is not a constant.
+    r = validate_spd(pc_covariance_oracle(0.6, 4, 0.5, 64))
+    w = build_dilation_sequence(extract_schur_params(r), dim).matrices
+    period_gap = float(np.abs(w[4:] - w[:-4]).max())
+    step_gap = float(np.abs(w[1:] - w[:-1]).max())
+    print(f"dim {dim}: max |W_(i+4) - W_i| {period_gap:.2e}, "
+          f"max |W_(i+1) - W_i| {step_gap:.3f}")
+    assert period_gap <= 1e-12
+    assert step_gap >= 0.1
 
 
 def test_criterion_04_levinson_matches_extraction():

@@ -12,6 +12,7 @@ from conftest import cli_status_and_peak, stepped_curve
 from dilshape import io
 from dilshape.cli import main
 from dilshape.curves import MAX_GRID, close_curve
+from dilshape.liegroup import ORTHOGONALITY_TOL
 from dilshape.shape import geodesic_between
 
 
@@ -129,6 +130,36 @@ class TestDistAndMean:
         d = float(lines[1].split(",")[2])
         assert d > 0.0
         assert float(lines[1].split(",")[1]) == 0.0
+
+    def test_stdout_bytes_equal_file_bytes(self, two_curves, tmp_path, capsysbinary):
+        # One CSV writer for both destinations: LF line endings, a label with
+        # a comma quoted.
+        comma = tmp_path / "a,b.json"
+        comma.write_bytes(two_curves[0].read_bytes())
+        out = tmp_path / "d.csv"
+        assert run("--quiet", "dist", comma, two_curves[1], "--mode", "curve", "-o", out) == 0
+        capsysbinary.readouterr()
+        assert run("--quiet", "dist", comma, two_curves[1], "--mode", "curve") == 0
+        written = out.read_bytes()
+        assert capsysbinary.readouterr().out == written
+        assert b"\r" not in written and f'"{comma}"'.encode() in written
+
+    def test_curve_orthogonal_within_tolerance_passes_every_reader(self, two_curves,
+                                                                   tmp_path, capsys):
+        # Curves and sequences share ORTHOGONALITY_TOL: a curve that dist and
+        # mean accept, reconstruct accepts too.
+        payload = json.loads(two_curves[0].read_text())
+        points = np.array(payload["points"]) * (1.0 + 2e-10)
+        gap = np.abs(points @ points.transpose(0, 2, 1) - np.eye(points.shape[1])).max()
+        assert 1e-10 < gap < ORTHOGONALITY_TOL
+        payload["points"] = points.tolist()
+        loose = tmp_path / "loose.json"
+        loose.write_text(json.dumps(payload))
+        assert run("--quiet", "dist", loose, two_curves[1]) == 0
+        assert run("mean", loose, two_curves[1], "--iters", 2, "-o", tmp_path / "m.json") == 0
+        capsys.readouterr()
+        assert run("reconstruct", loose, "--compare", tmp_path / "m3.json") == 0
+        assert float(capsys.readouterr().out.rsplit(":", 1)[1]) < 1e-8
 
     def test_distance_matrix_file_and_modes(self, two_curves, tmp_path):
         out = tmp_path / "d.csv"

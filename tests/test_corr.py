@@ -121,10 +121,10 @@ class TestGenerators:
             corr.gen_stationary_ar(1.0, 4)
 
     def test_modulation_profile(self):
-        t = np.arange(8)
-        flat = corr.modulation_profile(4, 0.0, t)
+        # The last 8 amplitudes are those of t = 0 .. 7.
+        flat = corr._pc_amplitudes(0.6, 4, 0.0, 8)[-8:]
         assert np.allclose(flat, 1.0)
-        m = corr.modulation_profile(4, 0.5, t)
+        m = corr._pc_amplitudes(0.6, 4, 0.5, 8)[-8:]
         assert np.allclose(m[:4], m[4:])
         assert m.max() == pytest.approx(1.5)
 
@@ -134,6 +134,20 @@ class TestGenerators:
         assert np.array_equal(a.samples, b.samples)
         c = corr.gen_pc_process(0.6, 4, 0.5, 10, seed=43, count=32)
         assert not np.array_equal(a.samples, c.samples)
+
+    @pytest.mark.parametrize("a, period, depth, n", [(0.6, 4, 0.5, 9), (-0.7, 7, 0.9, 30)])
+    def test_oracle_equals_its_scalar_recursion(self, a, period, depth, n):
+        # Reference: the variance recursion and the fill cov[i, j] =
+        # a^(j - i) v_i written as scalar loops; the arithmetic is the same.
+        v, variances = 0.0, []
+        for t in range(-(8 * period + 64), n):
+            v = a * a * v + float(1.0 + depth * np.cos(2.0 * np.pi * t / period)) ** 2
+            variances.append(v)
+        want = np.empty((n, n))
+        for i in range(n):
+            for j in range(i, n):
+                want[i, j] = want[j, i] = a ** (j - i) * variances[i - n]
+        assert np.array_equal(corr.pc_covariance_oracle(a, period, depth, n), want)
 
     def test_pc_depth_zero_is_stationary(self):
         cov = corr.pc_covariance_oracle(0.5, 4, 0.0, 8)

@@ -43,7 +43,7 @@ class TestElementaryBlocks:
         assert dilation.defect(0.0) == 1.0
         assert dilation.defect(0.6) == pytest.approx(0.8)
         assert dilation.defect(1.0) == 0.0
-        with pytest.raises(OutOfRange):
+        with pytest.raises(NotAContraction):
             dilation.defect(1.1)
 
     def test_givens_is_orthogonal_involution(self):
@@ -368,7 +368,7 @@ class TestNaimark:
     def test_dim_check(self):
         with pytest.raises(BadDim):
             dilation.naimark_matrix([0.5], 1)
-        with pytest.raises(OutOfRange):
+        with pytest.raises(NotAContraction):
             dilation.naimark_matrix([1.5], 3)
 
 
@@ -401,6 +401,24 @@ class TestLevinson:
     def test_non_finite_row_is_out_of_range(self, row, bad):
         with pytest.raises(OutOfRange):
             dilation.levinson([bad if r is None else r for r in row])
+
+
+class TestOneContractionRule:
+    """defect, givens and naimark_matrix share the contraction rule of
+    stationary_params and SchurParams: a magnitude past one, by any amount,
+    is NotAContraction."""
+
+    @pytest.mark.parametrize("value", [1.0 + 5e-13, -1.0 - 5e-13, 1.5])
+    @pytest.mark.parametrize("call", [
+        dilation.defect,
+        lambda g: dilation.givens(g, 0, 2),
+        lambda g: dilation.naimark_matrix([g], 3),
+    ], ids=["defect", "givens", "naimark_matrix"])
+    def test_past_one_is_not_a_contraction(self, call, value):
+        with pytest.raises(NotAContraction):
+            dilation.stationary_params([value], 3)
+        with pytest.raises(NotAContraction):
+            call(value)
 
 
 @pytest.mark.parametrize("bad", NON_FINITE)
