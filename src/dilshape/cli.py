@@ -55,11 +55,8 @@ def cmd_reconstruct(args) -> int:
         value = dilation.reconstruct_correlation(seq, i, j)
         print(f"{value:.17g}")
         return EXIT_OK
-    n = seq.count + 1
-    out = np.full((n, n), np.nan)
-    np.fill_diagonal(out, 1.0)
-    for i, j in dilation.reconstructible_window(seq):
-        out[i, j] = out[j, i] = dilation.reconstruct_correlation(seq, i, j)
+    out = dilation.reconstruct_window(seq)
+    n = out.shape[0]
     if args.output or not args.compare:
         target = args.output or "reconstructed.csv"
         io.save_matrix(target, out, args.format)

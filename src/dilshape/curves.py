@@ -18,8 +18,7 @@ from .dilation import DilationSequence
 from .errors import DimMismatch, GridMismatch, OutOfRange, WrongComponent, _checked_int
 from .liegroup import ensure_rotation, exp_group, log_group, project_skew
 
-CLOSURE_TOL = 1e-8
-IDENTITY_TOL = 1e-8
+POINT_TOL = 1e-8  # two rotations this close in every entry are one point
 # Largest resampled segment count, and largest lattice side of an alignment:
 # the lattice search holds about eight tables of side^2 floats (1.1 GB at 4,000).
 MAX_GRID = 4096
@@ -30,7 +29,6 @@ class ManifoldCurve:
     """Sampled curve of rotations; ``base`` records a removed right factor."""
 
     points: np.ndarray
-    closed: bool = False
     base: np.ndarray | None = None
 
     def __post_init__(self):
@@ -61,8 +59,17 @@ class ManifoldCurve:
     def segments(self) -> int:
         return self.points.shape[0] - 1
 
+    @property
+    def closed(self) -> bool:
+        """A loop: at least one segment, and its ends are one point."""
+        return self.segments >= 1 and _same_point(self.points[-1], self.points[0])
+
     def starts_at_identity(self) -> bool:
-        return float(np.abs(self.points[0] - np.eye(self.dim)).max()) <= IDENTITY_TOL
+        return _same_point(self.points[0], np.eye(self.dim))
+
+
+def _same_point(a: np.ndarray, b: np.ndarray) -> bool:
+    return float(np.abs(a - b).max()) <= POINT_TOL
 
 
 def from_dilation(seq: DilationSequence, closed: bool = False) -> ManifoldCurve:
@@ -74,7 +81,7 @@ def from_dilation(seq: DilationSequence, closed: bool = False) -> ManifoldCurve:
     """
     w0 = seq.matrices[0].copy()
     pts = np.einsum("kij,lj->kil", seq.matrices, w0)
-    curve = ManifoldCurve(points=_freeze(pts), closed=False, base=_freeze(w0))
+    curve = ManifoldCurve(points=_freeze(pts), base=_freeze(w0))
     return close_curve(curve) if closed else curve
 
 
@@ -82,18 +89,15 @@ def sequence_from_curve(curve: ManifoldCurve) -> DilationSequence:
     """Undo :func:`from_dilation` using the recorded base factor."""
     base = curve.base if curve.base is not None else np.eye(curve.dim)
     mats = np.einsum("kij,jl->kil", curve.points, base)
-    return DilationSequence(matrices=_freeze(mats), dim=curve.dim)
+    return DilationSequence(matrices=_freeze(mats))
 
 
 def close_curve(curve: ManifoldCurve) -> ManifoldCurve:
-    """Mark a curve closed, appending the start when the ends do not meet."""
+    """Make the ends of a curve one point: the start replaces an end that is
+    already one point with it, and is appended to one that is not."""
     pts = curve.points
-    gap = float(np.abs(pts[-1] - pts[0]).max())
-    if gap <= CLOSURE_TOL:
-        new = np.concatenate([pts[:-1], pts[:1]], axis=0)
-    else:
-        new = np.concatenate([pts, pts[:1]], axis=0)
-    return ManifoldCurve(points=_freeze(new), closed=True, base=curve.base)
+    kept = pts[:-1] if _same_point(pts[-1], pts[0]) else pts
+    return ManifoldCurve(points=_freeze(np.concatenate([kept, pts[:1]])), base=curve.base)
 
 
 def _step_logs(curve: ManifoldCurve) -> np.ndarray:
@@ -158,7 +162,7 @@ def spline_resample(curve: ManifoldCurve, m: int) -> ManifoldCurve:
     if m > MAX_GRID:
         raise GridMismatch(f"target resolution {m} above MAX_GRID {MAX_GRID}")
     pts = _interpolate(curve, np.linspace(0.0, 1.0, m + 1), smooth=True)
-    return ManifoldCurve(points=_freeze(pts), closed=curve.closed, base=None)
+    return ManifoldCurve(points=_freeze(pts))
 
 
 def warp_curve(curve: ManifoldCurve, phi, smooth: bool = False) -> ManifoldCurve:
@@ -178,7 +182,7 @@ def warp_curve(curve: ManifoldCurve, phi, smooth: bool = False) -> ManifoldCurve
     if not np.isfinite(values).all():
         raise OutOfRange("warp values must be finite")
     pts = _interpolate(curve, np.clip(values, 0.0, 1.0), smooth)
-    return ManifoldCurve(points=_freeze(pts), closed=curve.closed, base=None)
+    return ManifoldCurve(points=_freeze(pts))
 
 
 def srv_values(curve: ManifoldCurve) -> tuple[np.ndarray, np.ndarray]:

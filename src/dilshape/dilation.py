@@ -10,12 +10,12 @@ matrices W_i (products of elementary rotation blocks) satisfying
     R[i][j] = e1^T W_i W_{i+1} ... W_{j-1} e1
 
 for lags j - i up to dim - 1, where dim is the truncation size of the W's.
-Extraction and reconstruction both evaluate this identity with one walk
-over the rows from the bottom: it keeps every column c_j = W_{k+1} ... W_{j-1}
-e1 in one array and applies W_k to it, two rows per rotation block, once row
-k is known.  Reconstruction reads R[k, j] = (e1^T W_k) c_j; extraction solves
-the same line for gamma[k, j], the only unknown in it (time-varying Schur
-parametrization, Lev-Ari & Kailath 1984; Constantinescu 1996).
+Extraction, reconstruction and a sequence's read-back evaluate it with one
+walk over the rows from the bottom: it keeps every column c_j = W_{k+1} ...
+W_{j-1} e1 in one array and applies W_k to it once row k is known, by rotation
+blocks or one dense product.  Reconstruction reads R[k, j] = (e1^T W_k) c_j;
+extraction solves the same line for gamma[k, j], the only unknown in it
+(time-varying Schur parametrization, Lev-Ari & Kailath 1984; Constantinescu 1996).
 For a Toeplitz R all W_i coincide with the single matrix produced by
 :func:`naimark_matrix`, whose powers generate the entries instead.
 """
@@ -42,6 +42,9 @@ from .liegroup import ensure_rotation
 DEFECT_FLOOR = 1e-8
 CONTRACTION_SLACK = 1e-9
 BOUNDARY_TOL = 1e-12
+# Largest count * dim^2 of a rotation sequence, checked before allocating: dilate
+# --full at the cap (n = 257, dim 256) peaks at 1.6 GB writing its JSON.
+MAX_SEQUENCE_FLOATS = 2 ** 24
 
 
 def _contractions(values, what: str) -> np.ndarray:
@@ -151,21 +154,20 @@ def _rotate(rows: np.ndarray, gammas) -> None:
         rows[l] = d * top - g * bot
 
 
-def _walk(gamma: np.ndarray):
+def _walk(n: int, depth: int, apply):
     """Yield (k, cols) for rows k = n-2 .. 0, where cols[:, q] = c_{k+1+q}.
 
-    c_j = W_{k+1} ... W_{j-1} e1 is supported on its first q + 1 entries.
-    The caller must leave gamma[k, k+1:] final before resuming; the walk
-    then applies W_k to every column, which turns them into the columns of
-    row k - 1.
+    c_j = W_{k+1} ... W_{j-1} e1 keeps its first ``depth`` entries, and only
+    the lags up to depth - 1 are walked.  The caller must leave row k's
+    factors final before resuming; ``apply(k, cols)`` then left-multiplies
+    every column by W_k, which turns them into the columns of row k - 1.
     """
-    n = gamma.shape[0]
-    cols = np.zeros((n, n))
+    cols = np.zeros((depth, n))
     for k in range(n - 2, -1, -1):
         cols[0, k + 1] = 1.0
-        block = cols[:n - k, k + 1:]
+        block = cols[:, k + 1:k + depth]
         yield k, block
-        _rotate(block, gamma[k, k + 1:])
+        apply(k, block)
 
 
 def reconstruct_matrix(params: SchurParams) -> np.ndarray:
@@ -174,15 +176,15 @@ def reconstruct_matrix(params: SchurParams) -> np.ndarray:
     Row k is e1^T W_k times the walked columns: e1^T W_k holds the nested
     entries gamma[k, j] * prod_{k<t<j} defect(gamma[k, t]).
     """
-    gamma = params.gamma
-    out = np.eye(params.n)
-    for k, cols in _walk(gamma):
+    gamma, n = params.gamma, params.n
+    out = np.eye(n)
+    for k, cols in _walk(n, n, lambda k, cols: _rotate(cols, gamma[k, k + 1:])):
         lead = np.empty(cols.shape[1])
         prefix = 1.0
         for q, g in enumerate(gamma[k, k + 1:]):
             lead[q] = prefix * g
             prefix *= defect(g)
-        out[k, k + 1:] = out[k + 1:, k] = lead @ cols[:-1]
+        out[k, k + 1:] = out[k + 1:, k] = lead @ cols[:lead.size]
     return out
 
 
@@ -222,7 +224,7 @@ def extract_schur_params(matrix) -> SchurParams:
     n = r.shape[0]
     gamma = np.zeros((n, n))
     degenerate = np.zeros((n, n), dtype=bool)
-    for k, cols in _walk(gamma):
+    for k, cols in _walk(n, n, lambda k, cols: _rotate(cols, gamma[k, k + 1:])):
         lead = np.empty(cols.shape[1])
         prefix = 1.0
         for q in range(cols.shape[1]):
@@ -252,15 +254,18 @@ class DilationSequence:
     """Stack of orthogonal truncation matrices W_i, one per starting index."""
 
     matrices: np.ndarray
-    dim: int
 
     def __post_init__(self):
         m = self.matrices
-        if m.ndim != 3 or m.shape[1] != self.dim or m.shape[2] != self.dim:
-            raise BadDim(f"expected shape (count, {self.dim}, {self.dim}), got {m.shape}")
+        if m.ndim != 3 or m.shape[1] != m.shape[2]:
+            raise BadDim(f"expected shape (count, dim, dim), got {m.shape}")
         if not np.isfinite(m).all():
             raise OutOfRange("sequence entries must be finite")
         ensure_rotation(m)
+
+    @property
+    def dim(self) -> int:
+        return self.matrices.shape[1]
 
     @property
     def count(self) -> int:
@@ -278,7 +283,8 @@ def build_dilation_sequence(params: SchurParams, dim: int,
     runs through every row 0..n-2 and treats parameters beyond the triangle
     as zero, which leaves the product identity exact on the whole truncation
     window and lets a dim = n sequence reproduce the entire matrix.  A set
-    with a ``degenerate`` (unresolved) entry has none and raises SingularStep.
+    with a ``degenerate`` (unresolved) entry has none and raises SingularStep,
+    and one of more than ``MAX_SEQUENCE_FLOATS`` entries BadDim.
     """
     if params.degenerate.any():
         raise SingularStep(f"{int(params.degenerate.sum())} parameters are flagged "
@@ -288,6 +294,8 @@ def build_dilation_sequence(params: SchurParams, dim: int,
     if dim < 2 or dim > n:
         raise BadDim(f"dim must lie in 2..{n}, got {dim}")
     count = (n - 1) if full else (n - dim + 1)
+    if count * dim * dim > MAX_SEQUENCE_FLOATS:
+        raise BadDim(f"count {count} x dim {dim}^2 above MAX_SEQUENCE_FLOATS {MAX_SEQUENCE_FLOATS}")
     padded = np.zeros((n + dim, n + dim))
     padded[:n, :n] = params.gamma
     mats = np.empty((count, dim, dim))
@@ -295,7 +303,7 @@ def build_dilation_sequence(params: SchurParams, dim: int,
         mats[i] = np.eye(dim)
         _rotate(mats[i], padded[i, i + 1:i + dim])
     mats.setflags(write=False)
-    return DilationSequence(matrices=mats, dim=dim)
+    return DilationSequence(matrices=mats)
 
 
 def reconstruct_correlation(seq: DilationSequence, i: int, j: int) -> float:
@@ -322,13 +330,23 @@ def reconstruct_correlation(seq: DilationSequence, i: int, j: int) -> float:
     return float(vec[0])
 
 
+def reconstruct_window(seq: DilationSequence) -> np.ndarray:
+    """Every entry the sequence determines, in a (count + 1)-square matrix of
+    unit diagonal; the pairs :func:`reconstructible_window` omits are NaN.
+    Row k is e1^T W_k times the walked columns, as in :func:`reconstruct_matrix`.
+    """
+    mats, n = seq.matrices, seq.count + 1
+    out = np.full((n, n), np.nan)
+    np.fill_diagonal(out, 1.0)
+    for k, cols in _walk(n, seq.dim, lambda k, cols: np.copyto(cols, mats[k] @ cols)):
+        out[k, k + 1:k + seq.dim] = out[k + 1:k + seq.dim, k] = mats[k, 0] @ cols
+    return out
+
+
 def reconstructible_window(seq: DilationSequence) -> list[tuple[int, int]]:
     """All (i, j) pairs reconstruct_correlation accepts for this sequence."""
-    pairs = []
-    for i in range(seq.count):
-        for j in range(i + 1, min(i + seq.dim, seq.count + 1)):
-            pairs.append((i, j))
-    return pairs
+    return [(i, j) for i in range(seq.count)
+            for j in range(i + 1, min(i + seq.dim, seq.count + 1))]
 
 
 def naimark_matrix(parcors, dim: int) -> np.ndarray:

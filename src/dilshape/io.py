@@ -2,8 +2,9 @@
 
 See FORMATS.md at the repository root for the authoritative description.
 CSV carries a single matrix (or one realization per row); JSON carries the
-structured objects.  Readers raise FormatError on malformed content and
-OSError on missing files, which the command line maps to exit code 5.
+structured objects, with only the fields readers read.  Readers raise
+FormatError on malformed content and OSError on missing files, which the
+command line maps to exit code 5.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ from .curves import ManifoldCurve, sequence_from_curve
 from .corr import MAX_SIZE, RealizationSet
 from .dilation import DilationSequence, SchurParams
 from .errors import FormatError
-
-MAX_PARAMS_N = MAX_SIZE  # largest n of a parameter file; readers allocate n x n
 
 
 def _as_float_array(data, what: str, ndim: int = 2) -> np.ndarray:
@@ -87,7 +86,7 @@ def load_matrix(path, fmt: str | None = None) -> np.ndarray:
 def save_matrix(path, matrix, fmt: str | None = None) -> None:
     m = np.asarray(matrix, dtype=float)
     if _format_of(path, fmt) == "json":
-        _write_json(path, {"n": m.shape[0], "entries": m.tolist()})
+        _write_json(path, {"entries": m.tolist()})
     else:
         _write_csv(path, _numbers(m))
 
@@ -103,8 +102,7 @@ def load_realizations(path, fmt: str | None = None) -> RealizationSet:
 
 def save_realizations(path, data: RealizationSet, fmt: str | None = None) -> None:
     if _format_of(path, fmt) == "json":
-        _write_json(path, {"count": data.count, "length": data.length,
-                           "samples": data.samples.tolist()})
+        _write_json(path, {"samples": data.samples.tolist()})
     else:
         _write_csv(path, _numbers(data.samples))
 
@@ -123,8 +121,8 @@ def _indexed(path, data: dict, key: str, n: int, width: int) -> list:
 
 
 def _check_params_n(path, n: int) -> None:
-    if not 0 <= n <= MAX_PARAMS_N:
-        raise FormatError(f"{path}: parameter set size {n} outside [0, {MAX_PARAMS_N}]")
+    if not 0 <= n <= MAX_SIZE:
+        raise FormatError(f"{path}: parameter set size {n} outside [0, {MAX_SIZE}]")
 
 
 def load_params(path) -> SchurParams:
@@ -181,11 +179,11 @@ def load_sequence(path) -> DilationSequence:
             raise FormatError(f"{path}: sequence files need a 'matrices' "
                               "or a curve's 'points' field")
         mats = _as_float_array(data["matrices"], str(path), 3)
-    return DilationSequence(matrices=mats, dim=mats.shape[1])
+    return DilationSequence(matrices=mats)
 
 
 def save_sequence(path, seq: DilationSequence) -> None:
-    _write_json(path, {"dim": seq.dim, "matrices": seq.matrices.tolist()})
+    _write_json(path, {"matrices": seq.matrices.tolist()})
 
 
 def _curve_from(path, data) -> ManifoldCurve:
@@ -195,7 +193,7 @@ def _curve_from(path, data) -> ManifoldCurve:
     base = data.get("base")
     if base is not None:
         base = _as_float_array(base, f"{path}: base")
-    return ManifoldCurve(points=pts, closed=bool(data.get("closed", False)), base=base)
+    return ManifoldCurve(points=pts, base=base)
 
 
 def load_curve(path) -> ManifoldCurve:
@@ -203,11 +201,7 @@ def load_curve(path) -> ManifoldCurve:
 
 
 def save_curve(path, curve: ManifoldCurve) -> None:
-    payload: dict = {
-        "dim": curve.dim,
-        "closed": curve.closed,
-        "points": curve.points.tolist(),
-    }
+    payload: dict = {"points": curve.points.tolist()}
     if curve.base is not None:
         payload["base"] = curve.base.tolist()
     _write_json(path, payload)

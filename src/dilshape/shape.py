@@ -44,22 +44,6 @@ REFINE_ITERS = 200
 
 
 @dataclass(frozen=True)
-class TsrvCurve:
-    """Flat coordinates of a curve: start point plus q values per segment."""
-
-    start: np.ndarray
-    values: np.ndarray
-
-    @property
-    def segments(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[1]
-
-
-@dataclass(frozen=True)
 class Reparametrization:
     """Piecewise-linear non-decreasing warp of [0, 1] onto itself."""
 
@@ -81,8 +65,8 @@ class Reparametrization:
         return np.interp(t, grid, self.values)
 
 
-def tsrv(curve: ManifoldCurve) -> TsrvCurve:
-    """Transform a curve to flat coordinates.
+def tsrv(curve: ManifoldCurve) -> np.ndarray:
+    """Flat coordinates of a curve: its q values, one per segment.
 
     Raises VanishingVelocity when any segment's q norm falls below
     ``Q_FLOOR``: such a curve has no well-defined direction there and cannot
@@ -93,31 +77,31 @@ def tsrv(curve: ManifoldCurve) -> TsrvCurve:
     if bad.any():
         raise VanishingVelocity(
             f"{int(bad.sum())} of {q.shape[0]} segments below Q_FLOOR {Q_FLOOR:g}")
-    return TsrvCurve(start=_freeze(curve.points[0]), values=_freeze(q))
+    return _freeze(q)
 
 
-def tsrv_inverse(t: TsrvCurve) -> ManifoldCurve:
+def tsrv_inverse(q: np.ndarray, start: np.ndarray) -> ManifoldCurve:
     """Integrate flat coordinates back to a curve.
 
-    x_{k+1} = exp(q_k |q_k| / N) x_k starting from the recorded start point;
-    inverts :func:`tsrv` exactly up to roundoff.  Degenerate (zero) segments
-    simply hold the point.
+    x_{k+1} = exp(q_k |q_k| / N) x_k from x_0 = ``start``; with the curve's
+    first point as the start, inverts :func:`tsrv` exactly up to roundoff.
+    Degenerate (zero) segments simply hold the point.
     """
-    q = t.values
+    n = q.shape[0]
     qnorms = np.sqrt(np.einsum("kij,kij->k", q, q))
-    steps = exp_group(q * (qnorms / t.segments)[:, None, None])
-    pts = np.empty((t.segments + 1, t.dim, t.dim))
-    pts[0] = t.start
+    steps = exp_group(q * (qnorms / n)[:, None, None])
+    pts = np.empty((n + 1, *q.shape[1:]))
+    pts[0] = start
     for k, step in enumerate(steps):
         pts[k + 1] = step @ pts[k]
-    return ManifoldCurve(points=_freeze(pts), closed=False, base=None)
+    return ManifoldCurve(points=_freeze(pts))
 
 
 def _from_identity(q: np.ndarray) -> ManifoldCurve:
     """Integrate q values from the identity; segments below Q_FLOOR hold still."""
     q = np.array(q, dtype=float)
     q[np.sqrt(np.einsum("kij,kij->k", q, q)) < Q_FLOOR] = 0.0
-    return tsrv_inverse(TsrvCurve(start=_freeze(np.eye(q.shape[1])), values=_freeze(q)))
+    return tsrv_inverse(q, np.eye(q.shape[1]))
 
 
 def _admitted(curves, grid: int | None = None, closed: bool = False,

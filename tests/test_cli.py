@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from conftest import cli_status_and_peak, stepped_curve
-from dilshape import io
+from dilshape import dilation, io
 from dilshape.cli import main
 from dilshape.curves import MAX_GRID, close_curve
 from dilshape.liegroup import ORTHOGONALITY_TOL
@@ -86,7 +86,7 @@ class TestGen:
     def test_format_overrides_extension(self, tmp_path):
         out = tmp_path / "ar.txt"
         assert run("gen", "ar", "--size", 4, "--format", "json", "-o", out) == 0
-        assert json.loads(out.read_text())["n"] == 4
+        assert len(json.loads(out.read_text())["entries"]) == 4
         params = tmp_path / "p.json"
         assert run("parcors", out, "-o", params) == 5
         assert run("parcors", out, "--format", "json", "-o", params) == 0
@@ -185,6 +185,16 @@ class TestDistAndMean:
             found[mode] = float(out.read_text().splitlines()[1].split(",")[2])
         # Shift zero of the closed search is the shape alignment itself.
         assert 0.0 < found["closed"] <= found["shape"]
+
+    def test_closed_field_of_a_file_is_not_read(self, two_curves, tmp_path, capsys):
+        # Closure comes from the points: an open curve marked closed is no loop.
+        payload = json.loads(two_curves[0].read_text())
+        payload["closed"] = True
+        marked = tmp_path / "marked.json"
+        marked.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run("dist", marked, marked, "--mode", "closed") == 2
+        assert capsys.readouterr().err.startswith("validation error:")
 
     def test_mean_output_loads(self, two_curves, tmp_path):
         out = tmp_path / "mean.json"
@@ -299,6 +309,20 @@ class TestExitCodes:
         params = tmp_path / "p.json"
         run("parcors", mat, "-o", params)
         assert run("dilate", params, "--dim", 9, "-o", tmp_path / "c.json") == 4
+
+
+    def test_dilate_past_the_sequence_cap_exits_before_allocating(self, tmp_path):
+        # One matrix past the cap: dim 256, --full, count = cap / 256^2 + 1.
+        params = tmp_path / "p.json"
+        params.write_text(json.dumps(
+            {"n": dilation.MAX_SEQUENCE_FLOATS // 256 ** 2 + 2, "gamma": []}))
+        out = tmp_path / "c.json"
+        status, peak_kb, report = cli_status_and_peak(
+            "dilate", params, "--dim", 256, "--full", "-o", out)
+        assert status == 4, report
+        assert "MAX_SEQUENCE_FLOATS" in report
+        assert peak_kb < 150 * 1024, report
+        assert not out.exists()
 
 
 class TestComparisonAdmission:
@@ -502,11 +526,11 @@ def sequence_file(draw):
             "matrices": draw(spoiled(rotations(draw(st.integers(0, 6)))))}
 
 
-# Declared sizes past io.MAX_PARAMS_N: integers, and number tokens written
+# Declared sizes past io.MAX_SIZE: integers, and number tokens written
 # into the file verbatim (1e400 reads back as inf).  No junk string is long
 # enough to collide with a token.
 NUMBER_TOKENS = ("1e400", "1e30", "2.5e3")
-OVERSIZED_N = st.one_of(st.integers(io.MAX_PARAMS_N + 1, 10 ** 30),
+OVERSIZED_N = st.one_of(st.integers(io.MAX_SIZE + 1, 10 ** 30),
                         st.sampled_from(NUMBER_TOKENS))
 
 
@@ -522,7 +546,7 @@ def oversized(n):
     """True when a parameter file's 'n' field declares a size past the cap."""
     if isinstance(n, str):
         return n in NUMBER_TOKENS
-    return isinstance(n, (int, float)) and not isinstance(n, bool) and n > io.MAX_PARAMS_N
+    return isinstance(n, (int, float)) and not isinstance(n, bool) and n > io.MAX_SIZE
 
 
 @st.composite
@@ -563,7 +587,7 @@ def file_of(kind):
 class TestLoaderFuzz:
     """Random curve, sequence, parameter and matrix files through five commands.
 
-    A parameter file that declares a size past io.MAX_PARAMS_N exits 5 from
+    A parameter file that declares a size past io.MAX_SIZE exits 5 from
     dilate and writes nothing.
     """
 

@@ -61,7 +61,7 @@ class TestConstruction:
         with pytest.raises(OutOfRange):
             ManifoldCurve(points=pts)
         with pytest.raises(OutOfRange):
-            dilation.DilationSequence(matrices=pts, dim=3)
+            dilation.DilationSequence(matrices=pts)
 
     def test_rejects_bad_shape(self):
         with pytest.raises(GridMismatch):

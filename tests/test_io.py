@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import cli_status_and_peak
-from dilshape import corr, dilation, io
+from dilshape import corr, curves, dilation, io
 from dilshape.errors import FormatError
 
 
@@ -53,12 +53,12 @@ class TestParamsFile:
 
     def test_rejects_size_above_cap(self, tmp_path):
         path = tmp_path / "p.json"
-        path.write_text(json.dumps({"n": io.MAX_PARAMS_N + 1, "gamma": []}))
+        path.write_text(json.dumps({"n": io.MAX_SIZE + 1, "gamma": []}))
         with pytest.raises(FormatError):
             io.load_params(path)
 
     def test_writer_refuses_sizes_the_reader_refuses(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(io, "MAX_PARAMS_N", 3)
+        monkeypatch.setattr(io, "MAX_SIZE", 3)
         path = tmp_path / "p.json"
         io.save_params(path, dilation.stationary_params([0.5], 3))
         assert io.load_params(path).n == 3
@@ -89,6 +89,44 @@ class TestRealizationsFile:
         path = tmp_path / "r.txt"
         io.save_realizations(path, corr.gen_pc_process(0.6, 4, 0.5, 5, seed=2, count=3),
                              "json")
-        assert json.loads(path.read_text())["count"] == 3
+        assert len(json.loads(path.read_text())["samples"]) == 3
         with pytest.raises(FormatError):
             io.load_realizations(path)
+
+
+class TestWrittenFields:
+    """Writers write only the fields readers read; readers still accept the
+    sizes, counts and closed flag that older files carry."""
+
+    def objects(self):
+        seq = dilation.build_dilation_sequence(dilation.stationary_params([0.5, 0.2], 6), 3)
+        curve = curves.from_dilation(seq)
+        return {"curve": (io.save_curve, io.load_curve, curve, {"points", "base"}),
+                "mean": (io.save_curve, io.load_curve,
+                         curves.ManifoldCurve(points=curve.points), {"points"}),
+                "sequence": (io.save_sequence, io.load_sequence, seq, {"matrices"}),
+                "matrix": (io.save_matrix, io.load_matrix, np.eye(3), {"entries"}),
+                "samples": (io.save_realizations, io.load_realizations,
+                            corr.gen_pc_process(0.6, 4, 0.5, 5, seed=2, count=3),
+                            {"samples"})}
+
+    def test_only_read_fields_are_written(self, tmp_path):
+        for name, (save, _, obj, fields) in self.objects().items():
+            save(tmp_path / f"{name}.json", obj)
+            assert set(json.loads((tmp_path / f"{name}.json").read_text())) == fields, name
+
+    def test_older_fields_are_accepted_and_ignored(self, tmp_path):
+        old = {"curve": {"dim": 3, "closed": True}, "mean": {"dim": 7, "closed": False},
+               "sequence": {"dim": 9}, "matrix": {"n": 5},
+               "samples": {"count": 1, "length": 2}}
+        for name, (save, load, obj, _) in self.objects().items():
+            path = tmp_path / f"{name}.json"
+            save(path, obj)
+            fresh = load(path)
+            path.write_text(json.dumps({**old[name], **json.loads(path.read_text())}))
+            again = load(path)
+            for attr in ("points", "base", "matrices", "samples"):
+                if hasattr(fresh, attr):
+                    assert np.array_equal(getattr(again, attr), getattr(fresh, attr)), name
+            if isinstance(fresh, np.ndarray):
+                assert np.array_equal(again, fresh)

@@ -57,14 +57,14 @@ def so2_curve(theta_fn, n):
 class TestTransform:
     def test_round_trip(self):
         c = stepped_curve(np.random.default_rng(1), 12, 3)
-        back = tsrv_inverse(tsrv(c))
+        back = tsrv_inverse(tsrv(c), c.points[0])
         assert np.abs(back.points - c.points).max() < 1e-12
 
     def test_transform_of_inverse(self):
         c = stepped_curve(np.random.default_rng(2), 9, 4)
-        t = tsrv(c)
-        again = tsrv(tsrv_inverse(t))
-        assert np.abs(again.values - t.values).max() < 1e-12
+        q = tsrv(c)
+        again = tsrv(tsrv_inverse(q, c.points[0]))
+        assert np.abs(again - q).max() < 1e-12
 
     def test_constant_curve_rejected(self):
         pts = np.stack([np.eye(3)] * 5)
@@ -91,15 +91,15 @@ REFERENCE_CURVES = {
 class TestInverseMatchesPerSampleReference:
     @pytest.mark.parametrize("kind", sorted(REFERENCE_CURVES))
     def test_tsrv_inverse(self, kind):
-        t = tsrv(REFERENCE_CURVES[kind]())
-        ref = reference_inverse(t.start, t.values)
-        assert np.abs(tsrv_inverse(t).points - ref).max() < 1e-13
+        c = REFERENCE_CURVES[kind]()
+        ref = reference_inverse(c.points[0], tsrv(c))
+        assert np.abs(tsrv_inverse(tsrv(c), c.points[0]).points - ref).max() < 1e-13
 
     @pytest.mark.parametrize("kind", sorted(REFERENCE_CURVES))
     def test_geodesic_between(self, kind):
         c0 = REFERENCE_CURVES[kind]()
         c1 = stepped_curve(np.random.default_rng(15), 40, 3)
-        mix = 0.7 * tsrv(c0).values + 0.3 * tsrv(c1).values
+        mix = 0.7 * tsrv(c0) + 0.3 * tsrv(c1)
         ref = reference_inverse(np.eye(3), mix)
         assert np.abs(geodesic_between(c0, c1, 0.3).points - ref).max() < 1e-13
 
@@ -179,7 +179,7 @@ class TestGeodesicBetween:
     def test_flat_coordinates_move_linearly(self):
         rng = np.random.default_rng(8)
         c0, c1 = stepped_curve(rng, 8, 3), stepped_curve(rng, 8, 3)
-        qs = [tsrv(geodesic_between(c0, c1, s)).values for s in (0.0, 0.25, 0.5)]
+        qs = [tsrv(geodesic_between(c0, c1, s)) for s in (0.0, 0.25, 0.5)]
         second = qs[0] - 2.0 * qs[1] + qs[2]
         assert np.abs(second).max() < 1e-12
 
@@ -282,8 +282,8 @@ class TestLatticeSearchMatchesExhaustive:
         for n in (4, 6, 8):
             c0 = stepped_curve(rng, n, 3)
             c1 = stepped_curve(rng, n, 3)
-            q0 = tsrv(c0).values
-            q1 = tsrv(c1).values
+            q0 = tsrv(c0)
+            q1 = tsrv(c1)
             sq, path = shape._dp_align(q0, q1, n)
             ref = exhaustive_lattice_min(q0, q1, n, ALL_STEPS)
             assert sq == pytest.approx(ref, abs=1e-12)
@@ -291,8 +291,8 @@ class TestLatticeSearchMatchesExhaustive:
 
     def test_matches_for_unequal_segment_counts(self):
         rng = np.random.default_rng(21)
-        q0 = tsrv(stepped_curve(rng, 4, 3)).values
-        q1 = tsrv(stepped_curve(rng, 6, 3)).values
+        q0 = tsrv(stepped_curve(rng, 4, 3))
+        q1 = tsrv(stepped_curve(rng, 6, 3))
         sq, path = shape._dp_align(q0, q1, 8)
         ref = exhaustive_lattice_min(q0, q1, 8, ALL_STEPS)
         assert sq == pytest.approx(ref, abs=1e-12)
@@ -305,8 +305,8 @@ class TestLatticeSearchMatchesExhaustive:
         for _ in range(30):
             n0, n1 = rng.integers(2, 7, size=2)
             grid = int(max(n0, n1) + rng.integers(0, 4))
-            q0 = tsrv(stepped_curve(rng, n0, 3)).values
-            q1 = tsrv(stepped_curve(rng, n1, 3)).values
+            q0 = tsrv(stepped_curve(rng, n0, 3))
+            q1 = tsrv(stepped_curve(rng, n1, 3))
             sq, path = shape._dp_align(q0, q1, grid)
             g = path.size - 1
             assert sq == pytest.approx(exhaustive_lattice_min(q0, q1, g, ALL_STEPS), abs=1e-12)
@@ -352,8 +352,8 @@ class TestRefinement:
     def test_node_derivatives_match_central_differences(self):
         rng = np.random.default_rng(23)
         for n0, n1, d, cells in ((5, 7, 3, 30), (8, 4, 2, 24), (3, 9, 4, 42)):
-            q0 = tsrv(stepped_curve(rng, n0, d)).values
-            q1 = tsrv(stepped_curve(rng, n1, d)).values
+            q0 = tsrv(stepped_curve(rng, n0, d))
+            q1 = tsrv(stepped_curve(rng, n1, d))
             p0 = shape._pl_at(q0, (np.arange(cells) + 0.5) / cells)
             slopes = np.exp(rng.uniform(-1.5, 1.5, cells))
             phi = np.concatenate(([0.0], np.cumsum(slopes) / slopes.sum()))
@@ -382,8 +382,8 @@ class TestRefinement:
         # put midpoints on the flat reads past the ends and in the last segment.
         rng = np.random.default_rng(26 + n1)
         d, cells = 3, 12 * n1
-        q0 = tsrv(stepped_curve(rng, 4, d)).values
-        q1 = tsrv(stepped_curve(rng, n1, d)).values
+        q0 = tsrv(stepped_curve(rng, 4, d))
+        q1 = tsrv(stepped_curve(rng, n1, d))
         p0 = shape._pl_at(q0, (np.arange(cells) + 0.5) / cells)
         tables = shape._gram_tables(p0, q1)
         edge = cells // 6
@@ -441,8 +441,8 @@ class TestRefinement:
         for _ in range(40):
             n0, n1 = (int(n) for n in rng.integers(4, 17, size=2))
             d = int(rng.integers(2, 5))
-            q0 = tsrv(stepped_curve(rng, n0, d)).values
-            q1 = tsrv(stepped_curve(rng, n1, d)).values
+            q0 = tsrv(stepped_curve(rng, n0, d))
+            q1 = tsrv(stepped_curve(rng, n1, d))
             grid = int(rng.integers(max(n0, n1), 4 * max(n0, n1) + 1))
             _, phi_dp = shape._dp_align(q0, q1, grid)
             cells = shape.REFINE_CELLS * (phi_dp.size - 1)
@@ -460,8 +460,8 @@ class TestRefinement:
     def test_pinned_start_matches_reference_loop(self, n1):
         # Slopes on both bounds tie cells, so steps are solved again grouped.
         rng = np.random.default_rng(36 + n1)
-        q0 = tsrv(stepped_curve(rng, 4, 3)).values
-        q1 = tsrv(stepped_curve(rng, n1, 3)).values
+        q0 = tsrv(stepped_curve(rng, 4, 3))
+        q1 = tsrv(stepped_curve(rng, n1, 3))
         cells = 12 * n1
         p0 = shape._pl_at(q0, (np.arange(cells) + 0.5) / cells)
         edge = cells // 6
@@ -500,8 +500,8 @@ class TestRefinement:
     def test_refined_slopes_stay_inside_bounds(self, power):
         # Aligning against a steep warp asks for slopes beyond the bounds.
         nodes = np.linspace(0.0, 1.0, 21)
-        q0 = tsrv(smooth_curve(nodes)).values
-        q1 = tsrv(smooth_curve(nodes ** power)).values
+        q0 = tsrv(smooth_curve(nodes))
+        q1 = tsrv(smooth_curve(nodes ** power))
         cells = 120
         p0 = shape._pl_at(q0, (np.arange(cells) + 0.5) / cells)
         phi, _ = shape._refine(p0, q1, np.linspace(0.0, 1.0, cells + 1))
@@ -517,8 +517,8 @@ class TestRefinement:
         for _ in range(12):
             n0, n1 = rng.integers(1, 12, size=2)
             d = int(rng.integers(2, 5))
-            q0 = tsrv(stepped_curve(rng, int(n0), d)).values
-            q1 = tsrv(stepped_curve(rng, int(n1), d)).values
+            q0 = tsrv(stepped_curve(rng, int(n0), d))
+            q1 = tsrv(stepped_curve(rng, int(n1), d))
             cells = 6 * int(max(n0, n1))
             p0 = shape._pl_at(q0, (np.arange(cells) + 0.5) / cells)
             slopes = np.exp(rng.uniform(-0.9, 0.9, cells))
@@ -595,7 +595,7 @@ class TestClosedCurves:
         two_pi = 2.0 * np.pi
         pts = np.stack([expm(np.sin(two_pi * ((k + shift) % n) / n) * 0.6 * J2)
                         for k in range(n + 1)])
-        return ManifoldCurve(points=pts, closed=True)
+        return ManifoldCurve(points=pts)
 
     def test_cyclic_shift_is_free(self):
         n = 12
