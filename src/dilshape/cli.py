@@ -38,10 +38,10 @@ def cmd_parcors(args) -> int:
 def cmd_dilate(args) -> int:
     params = io.load_params(args.params)
     seq = dilation.build_dilation_sequence(params, args.dim, full=args.full)
+    curve = curves.from_dilation(seq, closed=args.closed)
     if args.sequence_out:
         io.save_sequence(args.sequence_out, seq)
         _say(args, f"wrote {seq.count} rotation matrices to {args.sequence_out}")
-    curve = curves.from_dilation(seq, closed=args.closed)
     io.save_curve(args.output, curve)
     _say(args, f"wrote curve with {curve.num_points} points (dim {curve.dim}) "
                f"to {args.output}")

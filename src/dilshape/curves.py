@@ -10,12 +10,13 @@ recoverable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .corr import _freeze
 from .dilation import DilationSequence
-from .errors import DimMismatch, GridMismatch, OutOfRange, WrongComponent, _checked_int
+from .errors import DimMismatch, GridMismatch, NotClosed, OutOfRange, WrongComponent, _checked_int
 from .liegroup import ensure_rotation, exp_group, log_group, project_skew
 
 POINT_TOL = 1e-8  # two rotations this close in every entry are one point
@@ -26,13 +27,16 @@ MAX_GRID = 4096
 
 @dataclass(frozen=True)
 class ManifoldCurve:
-    """Sampled curve of rotations; ``base`` records a removed right factor."""
+    """Sampled curve of rotations; ``base`` records a removed right factor.
+    Its points are read-only: a writable array, or a view, is copied once."""
 
     points: np.ndarray
     base: np.ndarray | None = None
 
     def __post_init__(self):
         p = self.points
+        if p.flags.writeable or p.base is not None:
+            object.__setattr__(self, "points", p := _freeze(np.array(p, dtype=float)))
         if p.ndim != 3 or p.shape[1] != p.shape[2]:
             raise GridMismatch(f"expected shape (samples, d, d), got {p.shape}")
         if p.shape[0] < 1:
@@ -67,6 +71,15 @@ class ManifoldCurve:
     def starts_at_identity(self) -> bool:
         return _same_point(self.points[0], np.eye(self.dim))
 
+    @cached_property
+    def srv(self) -> tuple[np.ndarray, np.ndarray]:
+        """Velocity-normalized segment values q_k = v_k / sqrt(|v_k|) and the
+        velocity norms, read-only and computed once; zero velocity gives q_k = 0."""
+        v = discrete_velocity(self)
+        vnorms = np.sqrt(np.einsum("kij,kij->k", v, v))
+        q = v / np.sqrt(np.where(vnorms > 0.0, vnorms, 1.0))[:, None, None]
+        return _freeze(q), _freeze(vnorms)
+
 
 def _same_point(a: np.ndarray, b: np.ndarray) -> bool:
     return float(np.abs(a - b).max()) <= POINT_TOL
@@ -93,9 +106,11 @@ def sequence_from_curve(curve: ManifoldCurve) -> DilationSequence:
 
 
 def close_curve(curve: ManifoldCurve) -> ManifoldCurve:
-    """Make the ends of a curve one point: the start replaces an end that is
-    already one point with it, and is appended to one that is not."""
+    """Make the ends of a curve one point: the start replaces an end already one
+    point with it, or is appended; a one-point curve raises NotClosed."""
     pts = curve.points
+    if curve.segments < 1:
+        raise NotClosed("a one-point curve cannot be closed")
     kept = pts[:-1] if _same_point(pts[-1], pts[0]) else pts
     return ManifoldCurve(points=_freeze(np.concatenate([kept, pts[:1]])), base=curve.base)
 
@@ -186,17 +201,9 @@ def warp_curve(curve: ManifoldCurve, phi, smooth: bool = False) -> ManifoldCurve
 
 
 def srv_values(curve: ManifoldCurve) -> tuple[np.ndarray, np.ndarray]:
-    """Velocity-normalized segment values q_k = v_k / sqrt(|v_k|) and their norms.
-
-    Segments with exactly zero velocity give q_k = 0.  Returns (values,
-    velocity norms); callers decide whether vanishing velocity is an error.
-    """
-    v = discrete_velocity(curve)
-    vnorms = np.sqrt(np.einsum("kij,kij->k", v, v))
-    q = np.zeros_like(v)
-    live = vnorms > 0.0
-    q[live] = v[live] / np.sqrt(vnorms[live])[:, None, None]
-    return q, vnorms
+    """The curve's (q, |v|), :attr:`ManifoldCurve.srv`; callers decide whether
+    vanishing velocity is an error."""
+    return curve.srv
 
 
 def path_energy(path: list[ManifoldCurve]) -> float:

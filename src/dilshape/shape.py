@@ -6,8 +6,8 @@ In these coordinates geodesics between curves are straight lines, the curve
 distance is the L2 gap, and reparametrization acts as
 q -> (q o phi) sqrt(phi').  The shape distance minimizes the gap over
 increasing warps in two stages (Srivastava & Klassen 2016, ch. 4): a dynamic
-program over monotone lattice paths finds the global warp, and a
-Levenberg-Marquardt search over its nodes, slopes in [e^-2, e^2], refines it
+program over monotone lattice paths finds the global warp, and a damped
+Gauss-Newton search over its nodes, slopes in [e^-2, e^2], refines it
 (Madsen, Nielsen & Tingleff 2004).  It reads each trial's score, and each
 taken warp's normal system, from Gram tables of the pair built once: the
 cross table of the q0 cell reads against q1, and per-segment products of q1.
@@ -35,17 +35,20 @@ Q_FLOOR = 1e-10
 DP_STEPS = ((1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2))
 
 # Warp refinement: node steps on REFINE_CELLS times the lattice cells, slopes
-# in [1/SLOPE_BOUND, SLOPE_BOUND] so none underflows, until a step changes the
-# cost by less than REFINE_FTOL times max(cost, 1) or REFINE_ITERS steps pass.
+# in [1/SLOPE_BOUND, SLOPE_BOUND] so none underflows, until a taken step lowers
+# the cost by less than REFINE_FTOL times max(cost, 1), REFINE_HALVINGS halvings
+# of one step lower nothing, or REFINE_ITERS trials pass.
 REFINE_CELLS = 6
 SLOPE_BOUND = np.e ** 2
 REFINE_FTOL = 1e-6
+REFINE_HALVINGS = 7
 REFINE_ITERS = 200
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Reparametrization:
-    """Piecewise-linear non-decreasing warp of [0, 1] onto itself."""
+    """Piecewise-linear non-decreasing warp of [0, 1] onto itself (slotted:
+    callers keep many)."""
 
     values: np.ndarray
 
@@ -66,7 +69,7 @@ class Reparametrization:
 
 
 def tsrv(curve: ManifoldCurve) -> np.ndarray:
-    """Flat coordinates of a curve: its q values, one per segment.
+    """Flat coordinates of a curve: its read-only q values, one per segment.
 
     Raises VanishingVelocity when any segment's q norm falls below
     ``Q_FLOOR``: such a curve has no well-defined direction there and cannot
@@ -77,7 +80,7 @@ def tsrv(curve: ManifoldCurve) -> np.ndarray:
     if bad.any():
         raise VanishingVelocity(
             f"{int(bad.sum())} of {q.shape[0]} segments below Q_FLOOR {Q_FLOOR:g}")
-    return _freeze(q)
+    return q
 
 
 def tsrv_inverse(q: np.ndarray, start: np.ndarray) -> ManifoldCurve:
@@ -135,11 +138,8 @@ def _admitted(curves, grid: int | None = None, closed: bool = False,
 def curve_distance(c0: ManifoldCurve, c1: ManifoldCurve) -> float:
     """Parametrization-sensitive distance: L2 gap of the q sequences."""
     _admitted([c0, c1])
-    q0, _ = srv_values(c0)
-    q1, _ = srv_values(c1)
-    n = q0.shape[0]
-    gap = q0 - q1
-    return float(np.sqrt(np.sum(gap * gap) / n))
+    gap = srv_values(c0)[0] - srv_values(c1)[0]
+    return float(np.sqrt(np.sum(gap * gap) / gap.shape[0]))
 
 
 def geodesic_between(c0: ManifoldCurve, c1: ManifoldCurve, s: float) -> ManifoldCurve:
@@ -354,49 +354,55 @@ def _bounded_warp(s: np.ndarray) -> np.ndarray:
 
 
 def _refine(p0: np.ndarray, q1: np.ndarray, phi_nodes: np.ndarray):
-    """Levenberg-Marquardt refinement of a warp over its interior nodes.
+    """Damped Gauss-Newton refinement of a warp over its interior nodes, with
+    step halving as the line search (Madsen, Nielsen & Tingleff 2004, sec. 3).
 
-    Each gap depends on its cell's two nodes, so the damped Gauss-Newton system
-    is tridiagonal.  A slope on a bound that the step would cross ties its
-    cell's nodes into one group, and the system is solved again.  The start's
-    slopes must lie in the bounds; only steps that lower the score are taken.
-    The pair's Gram tables are built once.  A trial warp reads only its score
-    from them (:func:`_read`), a taken one also its node system
-    (:func:`_system`), each in O(cells) scalars.  The returned score is the
-    final warp's direct :func:`_scored`, since the expanded one cancels.
-    Returns (warp, score).
+    Each gap depends on its cell's two nodes, so the system is tridiagonal; a
+    slope on a bound that the step would cross ties its cell's nodes into one
+    group, and ties stay while their cells stay on a bound.  The start's slopes
+    must lie in the bounds.  Each taken warp's system (:func:`_system`) is
+    solved once and the damping then falls by 3; a trial (:func:`_read`) that
+    does not lower the score is followed by the same step halved.  Returns
+    (warp, score), the score the final warp's direct :func:`_scored`, since the
+    expanded one cancels.
     """
     tables = _gram_tables(p0, q1)
     phi, (cost, s, reads) = phi_nodes, _read(phi_nodes, tables)
-    lam = None
+    lam, tied, scale = None, np.zeros(s.size, dtype=bool), None
     for _ in range(REFINE_ITERS):
         if reads is not None:
             # A warp just taken: its node system and the slopes on the bounds.
             (diag, off, grad), reads = _system(reads), None
             at_lo, at_hi = s <= (1.0 + 1e-9) / SLOPE_BOUND, s >= (1.0 - 1e-9) * SLOPE_BOUND
             lam = 1e-3 * max(diag.max(), 1.0) if lam is None else lam
-        damped, tied = diag + lam, np.zeros(s.size, dtype=bool)
-        step = _free_step(damped, off, grad)
-        while step is not None:
-            ds = step[1:] - step[:-1]
-            push = ((at_lo & (ds < 0.0)) | (at_hi & (ds > 0.0))) & ~tied
-            if not push.any():
-                break
-            tied |= push
-            step = _tied_step(damped, off, grad, tied)
-        if step is None:
-            lam *= 4.0
-            continue
-        new_phi = _bounded_warp(s + ds * s.size)
+        if scale is None:
+            # The taken warp's one solve, its ties starting from those still on a bound.
+            damped, tied = diag + lam, tied & (at_lo | at_hi)
+            step = _tied_step(damped, off, grad, tied) if tied.any() else _free_step(
+                damped, off, grad)
+            while step is not None:
+                ds = step[1:] - step[:-1]
+                push = ((at_lo & (ds < 0.0)) | (at_hi & (ds > 0.0))) & ~tied
+                if not push.any():
+                    break
+                tied |= push
+                step = _tied_step(damped, off, grad, tied)
+            if step is None:
+                lam *= 4.0
+                continue
+            scale, halvings = float(s.size), 0
+        # Scaled as a temporary: a scaled copy kept across trials fragments the
+        # heap of callers that keep many warps (0.6 KB more per align pair).
+        new_phi = _bounded_warp(s + ds * scale)
         new = _read(new_phi, tables)
         change = cost - new[0]
         if change > 0.0:
-            phi, (cost, s, reads) = new_phi, new
+            phi, (cost, s, reads), scale = new_phi, new, None
             del new  # kept through the next trial, the reads fragment the heap
             lam /= 3.0
         else:
-            lam *= 4.0
-        if abs(change) < REFINE_FTOL * max(cost, 1.0):
+            scale, halvings = 0.5 * scale, halvings + 1
+        if 0.0 < change < REFINE_FTOL * max(cost, 1.0) or halvings > REFINE_HALVINGS:
             break
     # A fresh copy: the warp was allocated among the step arrays, and callers
     # that keep many warps otherwise fragment the heap (7 MB over 900 pairs).
@@ -438,7 +444,7 @@ def shape_distance(c0: ManifoldCurve, c1: ManifoldCurve,
     The warp applies to c1: the returned phi minimizes the flat-coordinate
     gap between q0 and (q1 o phi) sqrt(phi'): the lattice search over
     monotone paths with slopes between 1/3 and 3 gives the global warp, and
-    a Levenberg-Marquardt search over piecewise-linear warps on six times as
+    a damped Gauss-Newton search over piecewise-linear warps on six times as
     many cells, slopes between e^-2 and e^2, refines it.  The warp has
     6 G + 1 nodes, G the lattice size; a ``grid`` of None means twice the
     finer curve's segment count.

@@ -124,13 +124,17 @@ def gauss_newton(phi, tables):
 
 
 def reference_refine(p0, q1, phi_nodes):
-    """The warp refinement as a plain Levenberg-Marquardt loop, for identity
-    checks of the production one.
+    """The warp refinement as a plain damped Gauss-Newton loop with explicit
+    halving, for identity checks of the production one.
 
-    Every trial warp gets its full node system from :func:`gauss_newton`, every
-    solve, the first of a step included, goes through the grouped
-    :func:`reference_tied_step`, and the slopes are clipped and summed with
-    ``np.clip``, ``np.diff`` and ``np.concatenate``.  Returns (warp, score).
+    Every warp, trial or taken, gets its full node system from
+    :func:`gauss_newton`.  Each taken warp's step is solved once, every solve
+    through the grouped :func:`reference_tied_step`, its tie search starting
+    from the previous ties still on a bound; a singular system raises the
+    damping by 4 and costs one trial.  Trial h of a step moves the slopes by
+    the solved step over 2**h, for h up to ``REFINE_HALVINGS``.  The slopes
+    are clipped and summed with ``np.clip``, ``np.diff`` and
+    ``np.concatenate``.  Returns (warp, score).
     """
     def bounded_warp(s):
         cells, lo, hi = s.size, 1.0 / shape.SLOPE_BOUND, shape.SLOPE_BOUND
@@ -143,32 +147,43 @@ def reference_refine(p0, q1, phi_nodes):
         phi[-1] = 1.0
         return phi
 
+    def solved(damped):
+        """Slope step of the grouped solve, or None when it is singular."""
+        while (step := reference_tied_step(damped, off, grad, tied)) is not None:
+            ds = np.diff(step)
+            push = ((at_lo & (ds < 0.0)) | (at_hi & (ds > 0.0))) & ~tied
+            if not push.any():
+                return ds * s.size
+            tied[push] = True
+        return None
+
     tables = shape._gram_tables(p0, q1)
     phi = phi_nodes
     cost, s, diag, off, grad = gauss_newton(phi, tables)
     lam = 1e-3 * max(diag.max(), 1.0)
-    for _ in range(shape.REFINE_ITERS):
+    tied = np.zeros(s.size, dtype=bool)
+    trials = 0
+    while trials < shape.REFINE_ITERS:
         at_lo = s <= (1.0 + 1e-9) / shape.SLOPE_BOUND
         at_hi = s >= (1.0 - 1e-9) * shape.SLOPE_BOUND
-        tied = np.zeros(s.size, dtype=bool)
-        while (step := reference_tied_step(diag + lam, off, grad, tied)) is not None:
-            ds = np.diff(step)
-            push = ((at_lo & (ds < 0.0)) | (at_hi & (ds > 0.0))) & ~tied
-            if not push.any():
-                break
-            tied |= push
-        if step is None:
+        tied &= at_lo | at_hi
+        ds = solved(diag + lam)
+        if ds is None:
             lam *= 4.0
+            trials += 1
             continue
-        new_phi = bounded_warp(s + ds * s.size)
-        new = gauss_newton(new_phi, tables)
+        for h in range(shape.REFINE_HALVINGS + 1):
+            trials += 1
+            new_phi = bounded_warp(s + ds / 2 ** h)
+            new = gauss_newton(new_phi, tables)
+            if new[0] < cost or trials == shape.REFINE_ITERS:
+                break
+        if not new[0] < cost:
+            break
         change = cost - new[0]
-        if change > 0.0:
-            phi, (cost, s, diag, off, grad) = new_phi, new
-            lam /= 3.0
-        else:
-            lam *= 4.0
-        if abs(change) < shape.REFINE_FTOL * max(cost, 1.0):
+        phi, (cost, s, diag, off, grad) = new_phi, new
+        lam /= 3.0
+        if change < shape.REFINE_FTOL * max(cost, 1.0):
             break
     return phi, shape._scored(phi, p0, q1)
 

@@ -279,6 +279,21 @@ class TestExitCodes:
         assert run("reconstruct", curve, "--compare", small) == 4
         assert "window/grid error" in capsys.readouterr().err
 
+    def test_dilate_refuses_a_loop_of_one_point(self, tmp_path, capsys):
+        # --dim equal to the set's size gives one matrix, a curve of one point,
+        # which has no segment to close.
+        mat = tmp_path / "ar.json"
+        run("gen", "ar", "--size", 16, "-o", mat)
+        params = tmp_path / "p.json"
+        run("parcors", mat, "-o", params)
+        out, seq = tmp_path / "c.json", tmp_path / "s.json"
+        capsys.readouterr()
+        assert run("dilate", params, "--dim", 16, "--closed", "-o", out,
+                   "--sequence-out", seq) == 2
+        assert "validation error" in capsys.readouterr().err
+        assert not out.exists() and not seq.exists()
+        assert run("dilate", params, "--dim", 16, "-o", out) == 0
+
     def test_dilate_rejects_boundary_flag_below_one(self, tmp_path, capsys):
         params = tmp_path / "p.json"
         params.write_text(json.dumps({"n": 3, "gamma": [[0, 1, 0.5]],

@@ -6,9 +6,9 @@ from scipy.interpolate import CubicSpline
 from scipy.linalg import expm
 
 from conftest import random_rotation, smooth_curve, smooth_point, stepped_curve
-from dilshape import curves, dilation
+from dilshape import curves, dilation, shape
 from dilshape.curves import ManifoldCurve
-from dilshape.errors import GridMismatch, NotOrthogonal, OutOfRange, WrongComponent
+from dilshape.errors import GridMismatch, NotClosed, NotOrthogonal, OutOfRange, WrongComponent
 from dilshape.liegroup import geodesic_distance, log_group
 
 
@@ -102,6 +102,13 @@ class TestFromDilation:
         assert c.closed
         assert np.abs(c.points[-1] - c.points[0]).max() < 1e-12
 
+    def test_one_point_curve_cannot_close(self):
+        # --dim equal to the set's size: one matrix, no segment to close.
+        seq = dilation.build_dilation_sequence(ar_params(0.6, 8), 8)
+        assert curves.from_dilation(seq).num_points == 1
+        with pytest.raises(NotClosed):
+            curves.from_dilation(seq, closed=True)
+
 
 class TestVelocityAndInterpolation:
     def test_one_parameter_subgroup_velocity_is_constant(self):
@@ -132,6 +139,53 @@ class TestVelocityAndInterpolation:
         q, vnorms = curves.srv_values(ManifoldCurve(points=pts))
         assert np.all(q == 0.0)
         assert np.all(vnorms == 0.0)
+
+
+class TestTransformOnce:
+    def test_velocity_runs_once_per_curve(self, monkeypatch):
+        calls = []
+
+        def counted(curve):
+            calls.append(id(curve))
+            return velocity(curve)
+
+        velocity = curves.discrete_velocity
+        monkeypatch.setattr(curves, "discrete_velocity", counted)
+        rng = np.random.default_rng(4)
+        c0, c1 = stepped_curve(rng, 8, 3), stepped_curve(rng, 8, 3)
+        for _ in range(3):
+            shape.shape_distance(c0, c1, grid=16)
+            shape.curve_distance(c1, c0)
+            shape.tsrv(c0)
+            curves.srv_values(c1)
+        assert sorted(calls) == sorted([id(c0), id(c1)])
+
+    def test_cached_transform_is_read_only_and_fresh(self):
+        c = stepped_curve(np.random.default_rng(5), 9, 4)
+        q, vnorms = curves.srv_values(c)
+        assert curves.srv_values(c)[0] is q
+        fresh_q, fresh_vnorms = curves.srv_values(ManifoldCurve(points=c.points.copy()))
+        assert np.array_equal(q, fresh_q) and np.array_equal(vnorms, fresh_vnorms)
+        for array in (q, vnorms, c.points):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    def test_caller_writes_do_not_reach_the_curve(self):
+        pts = stepped_curve(np.random.default_rng(6), 7, 3).points.copy()
+        kept = pts.copy()
+        c = ManifoldCurve(points=pts)
+        q = curves.srv_values(c)[0].copy()
+        pts[1:] = np.eye(3)
+        assert pts.flags.writeable
+        assert np.array_equal(c.points, kept)
+        assert np.array_equal(curves.srv_values(c)[0], q)
+        # A view of writable memory is copied too; a frozen array is held as is.
+        view = kept[:4]
+        view.setflags(write=False)
+        assert not np.shares_memory(ManifoldCurve(points=view).points, kept)
+        frozen = c.points
+        assert ManifoldCurve(points=frozen).points is frozen
 
 
 class TestSplineResample:

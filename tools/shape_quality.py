@@ -9,7 +9,7 @@ numpy and the standard library besides.  The line holds:
   its quadratic, exponential and sinusoidal reparametrizations (100 segments,
   grid 200), as in acceptance criterion 08;
 - ``criterion_10``: mean between-class over mean within-class shape distance
-  of ten periodic and ten stationary dim-6 curves (grid 32), as in acceptance
+  of ten periodic and ten stationary dim-6 curves (grid 20), as in acceptance
   criterion 10;
 - ``stepped``: 200 pairs of random stepped SO(3) curves (generator seed 501,
   n from 6 to 16 segments, shared by both curves of a pair), each compared as
@@ -20,9 +20,14 @@ numpy and the standard library besides.  The line holds:
   periodic and two stationary dim-6 curves built as in criterion 10 (seeds
   2f, 2f + 1, 100 + 2f and 101 + 2f for family f).  It reports the sum over
   the families of the mean squared shape distance from the mean to its
-  inputs, and the sha256 of the six means' points as float64 bytes.
+  inputs, and the sha256 of the six means' points as float64 bytes;
+- ``means_wide``: the same figure over 48 families, reported per kind, with
+  one sha256 of all 48 means.  The 24 criterion-10 families f = 0 .. 23 are
+  built as for ``mean``; the 24 stepped families come from generator seed 11,
+  each drawing n from 6 to 16, then a count from 2 to 5, then that many
+  stepped SO(3) curves of n segments.
 
-Runs in 10 to 20 s on one core of a 2-vCPU KVM guest.
+Runs in 10 to 25 s on one core of a 2-vCPU KVM guest.
 """
 
 from __future__ import annotations
@@ -106,22 +111,46 @@ def stepped_pairs(pairs: int = 200) -> dict:
             "sha256": hashlib.sha256(values.tobytes()).hexdigest()}
 
 
-def means(families: int = 6) -> dict:
-    total, digest = 0.0, hashlib.sha256()
-    for f in range(families):
-        family = [pc_curve(0.5, 2 * f), pc_curve(0.5, 2 * f + 1),
-                  pc_curve(0.0, 100 + 2 * f), pc_curve(0.0, 101 + 2 * f)]
+def pc_family(f: int) -> list[ManifoldCurve]:
+    return [pc_curve(0.5, 2 * f), pc_curve(0.5, 2 * f + 1),
+            pc_curve(0.0, 100 + 2 * f), pc_curve(0.0, 101 + 2 * f)]
+
+
+def mean_field(families, digest) -> float:
+    """Sum over the families of the mean squared shape distance from the
+    default ``karcher_mean`` to its inputs; each mean's points go to ``digest``."""
+    total = 0.0
+    for family in families:
         mean = karcher_mean(family)
         grid = 2 * mean.segments
         total += float(np.mean([shape_distance(mean, c, grid=grid)[0] ** 2 for c in family]))
         digest.update(np.ascontiguousarray(mean.points, dtype=np.float64).tobytes())
+    return total
+
+
+def means(families: int = 6) -> dict:
+    digest = hashlib.sha256()
+    total = mean_field(map(pc_family, range(families)), digest)
     return {"families": families, "sum_mean_sq": total, "sha256": digest.hexdigest()}
+
+
+def means_wide(families: int = 24) -> dict:
+    rng = np.random.default_rng(11)
+    stepped = []
+    for _ in range(families):
+        n, count = int(rng.integers(6, 17)), int(rng.integers(2, 6))
+        stepped.append([stepped_curve(rng, n, 3) for _ in range(count)])
+    digest = hashlib.sha256()
+    pc_total = mean_field(map(pc_family, range(families)), digest)
+    stepped_total = mean_field(stepped, digest)
+    return {"families": 2 * families, "pc_sum_mean_sq": pc_total,
+            "stepped_sum_mean_sq": stepped_total, "sha256": digest.hexdigest()}
 
 
 def main() -> None:
     start = time.perf_counter()
     line = {"criterion_08": criterion_08(), "criterion_10": criterion_10(),
-            "stepped": stepped_pairs(), "mean": means()}
+            "stepped": stepped_pairs(), "mean": means(), "means_wide": means_wide()}
     line["seconds"] = round(time.perf_counter() - start, 1)
     print(json.dumps(line))
 
