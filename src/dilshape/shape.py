@@ -43,14 +43,22 @@ SLOPE_BOUND = np.e ** 2
 REFINE_FTOL = 1e-6
 REFINE_HALVINGS = 7
 REFINE_ITERS = 200
+# Target rows of the alignment lattice whose edge costs are built at once; up to
+# this side each step's table is one product, rounded as a whole-table build.
+LATTICE_BLOCK = 256
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Reparametrization:
     """Piecewise-linear non-decreasing warp of [0, 1] onto itself (slotted:
-    callers keep many)."""
+    callers keep many).  The slots are hand-written: under ``slots=True``
+    setting a new attribute raises TypeError, not FrozenInstanceError."""
 
+    __slots__ = ("values",)
     values: np.ndarray
+
+    def __reduce__(self):  # copies and pickles are checked again by __init__
+        return type(self), (self.values,)
 
     def __post_init__(self):
         v = self.values
@@ -187,46 +195,61 @@ def _dp_align(q0: np.ndarray, q1: np.ndarray, grid: int):
     midpoint rule on the G sub-intervals it spans, reading both sequences
     through the piecewise-linear rule.  Returns (squared gap, warp nodes).
     A G above MAX_GRID raises GridMismatch before anything is allocated.
+
+    Row i of path costs reads rows i - 3 to i - 1 only, so path costs live in
+    a ring of four rows and edge costs are built for LATTICE_BLOCK target rows
+    at a time; only the int8 table of winning steps, which the traceback
+    reads, is G^2.
     """
     n0 = q0.shape[0]
     g = n0 * -(-grid // n0)
     if g > MAX_GRID:
         raise GridMismatch(f"grid {grid} sets a lattice side {g} above {MAX_GRID}")
     p0 = _pl_at(q0, (np.arange(g) + 0.5) / g)
-    # Edge costs of every start node, one table per step: the q1 reads of
-    # sub-interval r sit on the node grid shifted by sigma (r + 1/2).  With
-    # the reads of all a sub-intervals laid side by side on both sides, an
-    # edge's cost is one squared gap |p - sqrt(sigma) v|^2 / g, and the cross
-    # terms of all edges of a step come from one matrix product.
-    tables = []
-    for a, b in DP_STEPS:
-        if a > g or b > g:
-            tables.append(None)
-            continue
-        sigma = b / a
-        rows, cols = g - a + 1, g - b + 1
-        shifted = (np.arange(cols) + sigma * (np.arange(a)[:, None] + 0.5)) / g
-        v = _pl_at(q1, shifted.ravel()).reshape(a, cols, -1)
-        v = v.transpose(1, 0, 2).reshape(cols, -1)
-        p = np.concatenate([p0[r:r + rows] for r in range(a)], axis=1)
-        tables.append((np.einsum("md,md->m", p, p)[:, None]
-                       - 2.0 * np.sqrt(sigma) * (p @ v.T)
-                       + sigma * np.einsum("md,md->m", v, v)) / g)
-    # Row by row, every step's candidates fill one buffer and the first
-    # minimum wins, so exact ties resolve in DP_STEPS order.
-    dist = np.full((g + 1, g + 1), np.inf)
+    # The q1 reads of sub-interval r of a step's edges sit on the node grid
+    # shifted by sigma (r + 1/2), one gather for all steps.  With the reads of
+    # all a sub-intervals laid side by side on both sides, an edge's cost is
+    # one squared gap |p - sqrt(sigma) v|^2 / g, and the cross terms of all
+    # edges of a step from a block of start rows come from one matrix product.
+    steps = [(k, a, b) for k, (a, b) in enumerate(DP_STEPS) if a <= g and b <= g]
+    shifted = [((np.arange(g - b + 1) + b / a * (np.arange(a)[:, None] + 0.5)) / g).ravel()
+               for _, a, b in steps]
+    ends = np.cumsum([x.size for x in shifted])[:-1]
+    reads = np.split(_pl_at(q1, np.concatenate(shifted)), ends)
+    sides = {}
+    for a in {a for _, a, _ in steps}:
+        p = np.concatenate([p0[r:r + g - a + 1] for r in range(a)], axis=1)
+        sides[a] = p, np.einsum("md,md->m", p, p)[:, None]
+    edges = []
+    for (k, a, b), v in zip(steps, reads):
+        v = v.reshape(a, g - b + 1, -1).transpose(1, 0, 2).reshape(g - b + 1, -1)
+        edges.append((k, a, b, 2.0 * np.sqrt(b / a), v.T, b / a * np.einsum("md,md->m", v, v)))
+    # Row by row, every step's candidates fill one node-major buffer and the
+    # first minimum wins, so exact ties resolve in DP_STEPS order.
+    dist = np.full((4, g + 1), np.inf)
     dist[0, 0] = 0.0
     choice = np.empty((g + 1, g + 1), dtype=np.int8)
-    cand = np.full((len(DP_STEPS), g + 1), np.inf)
+    cand = np.full((g + 1, len(DP_STEPS)), np.inf)
     nodes = np.arange(g + 1)
-    for i2 in range(1, g + 1):
-        for step_idx, ((a, b), cost) in enumerate(zip(DP_STEPS, tables)):
-            i1 = i2 - a
-            if i1 >= 0 and cost is not None:
-                np.add(dist[i1, :g - b + 1], cost[i1], out=cand[step_idx, b:])
-        best = cand.argmin(axis=0)
-        dist[i2] = cand[best, nodes]
-        choice[i2] = best
+    for r0 in range(1, g + 1, LATTICE_BLOCK):
+        r1 = min(r0 + LATTICE_BLOCK, g + 1)
+        block = []
+        for k, a, b, root, vt, vv in edges:
+            lo = max(r0 - a, 0)
+            p, pp = sides[a]
+            cost = p[lo:r1 - a] @ vt
+            cost *= root
+            np.subtract(pp[lo:r1 - a], cost, out=cost)
+            cost += vv
+            cost /= g
+            block.append((k, a, b, lo, cost))
+        for i2 in range(r0, r1):
+            for k, a, b, lo, cost in block:
+                if i2 >= a:
+                    np.add(dist[(i2 - a) % 4, :g - b + 1], cost[i2 - a - lo], out=cand[b:, k])
+            best = cand.argmin(axis=1)
+            dist[i2 % 4] = cand[nodes, best]
+            choice[i2] = best
     # Trace the winning path back and fill phi at every t node.
     phi_nodes = np.empty(g + 1)
     i, j = g, g
@@ -237,7 +260,7 @@ def _dp_align(q0: np.ndarray, q1: np.ndarray, grid: int):
         for t in range(pi, i):
             phi_nodes[t] = (pj + (b / a) * (t - pi)) / g
         i, j = pi, pj
-    return max(float(dist[g, g]), 0.0), phi_nodes
+    return max(float(dist[g % 4, g]), 0.0), phi_nodes
 
 
 def _residuals(phi: np.ndarray, p0: np.ndarray, q1: np.ndarray):

@@ -100,6 +100,62 @@ def exhaustive_lattice_min(q0, q1, g, steps):
     return from_node(0, 0)
 
 
+def reference_dp_align(q0, q1, grid):
+    """The lattice search as it stood before row blocks: every step's edge
+    table and the path costs held whole, (G + 1)^2 floats each, and the
+    candidates step-major.  For bit-identity checks of ``shape._dp_align``."""
+    n0 = q0.shape[0]
+    g = n0 * -(-grid // n0)
+    if g > shape.MAX_GRID:
+        raise shape.GridMismatch(f"grid {grid} sets a lattice side {g} above {shape.MAX_GRID}")
+    p0 = shape._pl_at(q0, (np.arange(g) + 0.5) / g)
+    # Edge costs of every start node, one table per step: the q1 reads of
+    # sub-interval r sit on the node grid shifted by sigma (r + 1/2).  With
+    # the reads of all a sub-intervals laid side by side on both sides, an
+    # edge's cost is one squared gap |p - sqrt(sigma) v|^2 / g, and the cross
+    # terms of all edges of a step come from one matrix product.
+    tables = []
+    for a, b in shape.DP_STEPS:
+        if a > g or b > g:
+            tables.append(None)
+            continue
+        sigma = b / a
+        rows, cols = g - a + 1, g - b + 1
+        shifted = (np.arange(cols) + sigma * (np.arange(a)[:, None] + 0.5)) / g
+        v = shape._pl_at(q1, shifted.ravel()).reshape(a, cols, -1)
+        v = v.transpose(1, 0, 2).reshape(cols, -1)
+        p = np.concatenate([p0[r:r + rows] for r in range(a)], axis=1)
+        tables.append((np.einsum("md,md->m", p, p)[:, None]
+                       - 2.0 * np.sqrt(sigma) * (p @ v.T)
+                       + sigma * np.einsum("md,md->m", v, v)) / g)
+    # Row by row, every step's candidates fill one buffer and the first
+    # minimum wins, so exact ties resolve in shape.DP_STEPS order.
+    dist = np.full((g + 1, g + 1), np.inf)
+    dist[0, 0] = 0.0
+    choice = np.empty((g + 1, g + 1), dtype=np.int8)
+    cand = np.full((len(shape.DP_STEPS), g + 1), np.inf)
+    nodes = np.arange(g + 1)
+    for i2 in range(1, g + 1):
+        for step_idx, ((a, b), cost) in enumerate(zip(shape.DP_STEPS, tables)):
+            i1 = i2 - a
+            if i1 >= 0 and cost is not None:
+                np.add(dist[i1, :g - b + 1], cost[i1], out=cand[step_idx, b:])
+        best = cand.argmin(axis=0)
+        dist[i2] = cand[best, nodes]
+        choice[i2] = best
+    # Trace the winning path back and fill phi at every t node.
+    phi_nodes = np.empty(g + 1)
+    i, j = g, g
+    phi_nodes[g] = 1.0
+    while i > 0:
+        a, b = shape.DP_STEPS[choice[i, j]]
+        pi, pj = i - a, j - b
+        for t in range(pi, i):
+            phi_nodes[t] = (pj + (b / a) * (t - pi)) / g
+        i, j = pi, pj
+    return max(float(dist[g, g]), 0.0), phi_nodes
+
+
 def reference_tied_step(diag, off, grad, tied):
     """Damped node step over groups of tied nodes, end groups fixed, solved by
     LAPACK with the one-unknown case divided out; None when singular."""

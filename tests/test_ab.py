@@ -1,4 +1,5 @@
-"""Smoke test of tools/ab.py: the checkout against its own HEAD on 3 pairs."""
+"""Smoke test of tools/ab.py: the checkout against its own HEAD on 3 pairs
+per set."""
 
 import json
 import subprocess
@@ -22,8 +23,13 @@ def test_head_against_head():
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     lines = [json.loads(line) for line in out.stdout.splitlines()]
-    assert [line["set"] for line in lines] == ["criterion_10", "criterion_08"]
-    assert [line["grid"] for line in lines] == [20, 200]
+    # shape_distance on both sets, then the lattice search alone on three.
+    assert [(line["layer"], line["set"], line["grid"]) for line in lines] == [
+        ("shape_distance", "criterion_10", 20), ("shape_distance", "criterion_08", 200),
+        ("_dp_align", "criterion_10", 20), ("_dp_align", "criterion_08", 200),
+        ("_dp_align", "criterion_08", 1000)]
+    for line in lines[2:]:
+        assert line["parent_peak_kb"] > 0.0 and line["child_peak_kb"] > 0.0
     for line in lines:
         assert line["pairs"] == 3 and line["parent_ms"] > 0.0 and line["child_ms"] > 0.0
         # One round: the paired ratio is the ratio of the two passes.

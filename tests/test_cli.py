@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -424,6 +427,20 @@ class TestLatticeCap:
         assert "window/grid error:" in report
         assert peak_kb < 150 * 1024, report
         assert not (tmp_path / "m.json").exists()
+
+    def test_lattice_near_the_cap_peaks_below_300_mb(self, tmp_path):
+        # tools/peak_rss.py reads the command's peak from RUSAGE_CHILDREN; as a
+        # small process of its own it carries none of this process's memory in.
+        curves = TestComparisonAdmission.write_curves(tmp_path, 6, 6)
+        root = Path(__file__).resolve().parents[1]
+        out = subprocess.run(
+            [sys.executable, str(root / "tools" / "peak_rss.py"), "300", sys.executable, "-c",
+             "import sys; from dilshape.cli import main; sys.exit(main(sys.argv[1:]))",
+             "dist", *map(str, curves), "--grid", "4000", "-o", str(tmp_path / "big.csv")],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(root / "src")})
+        assert out.returncode == 0, out.stderr
+        assert (tmp_path / "big.csv").exists()
 
     def test_curve_mode_builds_no_lattice(self, tmp_path):
         # 3,000 segments: the default alignment grid would pass the cap.

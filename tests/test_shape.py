@@ -1,6 +1,8 @@
+import copy
 import functools
 import itertools
 import os
+import pickle
 import subprocess
 import sys
 import warnings
@@ -8,12 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from conftest import (exhaustive_lattice_min, gauss_newton, random_skew, reference_cell_fit,
-                      reference_refine, reference_tied_step, smooth_curve, stepped_curve)
+                      reference_dp_align, reference_refine, reference_tied_step, smooth_curve,
+                      stepped_curve)
 import dilshape
 from dilshape import shape
 from dilshape.corr import estimate_ensemble_correlation, gen_pc_process
@@ -130,6 +133,21 @@ class TestReparametrization:
         assert Reparametrization.__slots__ == ("values",)
         with pytest.raises(AttributeError):
             phi.values = np.array([0.0, 1.0])
+
+    def test_setting_any_attribute_raises_attribute_error(self):
+        phi = Reparametrization(values=np.array([0.0, 0.5, 1.0]))
+        with pytest.raises(AttributeError):
+            phi.extra = 1.0
+        with pytest.raises(AttributeError):
+            phi.values = np.array([0.0, 1.0])
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                       lambda phi: pickle.loads(pickle.dumps(phi))])
+    def test_copies_and_pickles_keep_the_values(self, clone):
+        phi = Reparametrization(values=np.array([0.0, 0.25, 1.0]))
+        other = clone(phi)
+        assert isinstance(other, Reparametrization) and not hasattr(other, "__dict__")
+        assert other.values.tobytes() == phi.values.tobytes()
 
     @pytest.mark.parametrize("values, error", [
         (np.array([0.0, np.inf]), OutOfRange), (np.array([0, 1], dtype=complex), OutOfRange),
@@ -398,6 +416,45 @@ def record_refinement(monkeypatch):
         monkeypatch.setattr(shape, name, fn)
     return events
 
+
+
+class TestLatticeRowBlocks:
+    """The lattice search builds edge costs a block of rows at a time over a
+    ring of path costs.  A lattice of one block equals the whole-table
+    reference bit for bit; across blocks, BLAS may round a block's products
+    differently from the whole table's in the last bit (OpenBLAS on AVX-512
+    does), so there the minimum agrees to roundoff."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n0=st.integers(1, 40), n1=st.integers(1, 40),
+           d=st.integers(2, 4), extra=st.integers(0, 600))
+    @example(seed=1, n0=40, n1=17, d=3, extra=600)  # 640 rows: three blocks
+    @example(seed=2, n0=1, n1=1, d=2, extra=0)  # grid 1: only the unit diagonal
+    @example(seed=3, n0=2, n1=1, d=4, extra=0)  # grid 2: no step of 3
+    @example(seed=4, n0=1, n1=3, d=3, extra=2)  # grid 3: no (2, 3) or (3, 2)
+    def test_matches_whole_tables(self, seed, n0, n1, d, extra):
+        rng = np.random.default_rng(seed)
+        q0, q1 = rng.standard_normal((n0, d, d)), rng.standard_normal((n1, d, d))
+        grid = min(max(n0, n1) + extra, 640)
+        sq, path = shape._dp_align(q0, q1, grid)
+        ref_sq, ref_path = reference_dp_align(q0, q1, grid)
+        if path.size - 1 <= shape.LATTICE_BLOCK:
+            assert np.float64(sq).tobytes() == np.float64(ref_sq).tobytes()
+            assert path.tobytes() == ref_path.tobytes()
+        assert sq == pytest.approx(ref_sq, rel=1e-12, abs=1e-15)
+        assert warp_score(q0, q1, path) == pytest.approx(sq, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("grid", [200, 256])
+    def test_smooth_pair_equals_whole_tables_bit_for_bit(self, grid):
+        # Criterion 08's first pair, whose score moves in the last bit when the
+        # rows of a step's table are built in blocks of 64 on AVX-512 OpenBLAS.
+        nodes = np.linspace(0.0, 1.0, 101)
+        q0 = tsrv(smooth_curve(nodes))
+        q1 = tsrv(smooth_curve(0.45 * nodes + 0.55 * nodes ** 2))
+        sq, path = shape._dp_align(q0, q1, grid)
+        ref_sq, ref_path = reference_dp_align(q0, q1, grid)
+        assert np.float64(sq).tobytes() == np.float64(ref_sq).tobytes()
+        assert path.tobytes() == ref_path.tobytes()
 
 class TestRefinement:
     def test_node_derivatives_match_central_differences(self):

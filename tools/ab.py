@@ -16,12 +16,15 @@ way ``tools/shape_quality.py`` builds them:
 ``--pairs N`` keeps the first N pairs of each set. After one untimed pass per
 side, each round times one pass of ``shape_distance`` over a set on each side,
 the side that goes first alternating by round (ABBA ...). Each side keeps its
-own curve objects for all rounds. One JSON line per set reports each side's
+own curve objects for all rounds. The lattice search ``_dp_align`` is then
+timed alone the same way on the transforms of the pairs: criterion_10 at grid
+20 and criterion_08 at grids 200 and 1,000, its untimed call the first pair's
+under ``tracemalloc``. One JSON line per set and layer reports each side's
 median time per pair, the median over rounds of their ratio (this checkout
 over REV, paired by round so that a drift of the host's speed cancels), the
 quartile spread of REV's passes over their median, whether every distance and
 warp is bit-identical, and otherwise the largest relative difference of the
-distances.
+distances; a lattice line also reports each side's traced peak in KB.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ import sys
 import tarfile
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -79,29 +83,24 @@ def pair_sets(pairs: int | None):
     return [("criterion_10", 2 * c10[0][0].segments, c10), ("criterion_08", 200, c08)]
 
 
-def timed_pass(distance, pairs, grid):
+def timed_pass(run):
     start = time.perf_counter()
-    out = [distance(c0, c1, grid) for c0, c1 in pairs]
+    out = run()
     return time.perf_counter() - start, out
 
 
-def compare(name, grid, pairs, parent_curves, parent_shape, rounds: int) -> dict:
-    own = {id(c): parent_curves.ManifoldCurve(points=c.points, base=c.base)
-           for pair in pairs for c in pair}
-    sides = {"parent": (parent_shape.shape_distance, [(own[id(a)], own[id(b)]) for a, b in pairs]),
-             "child": (shape.shape_distance, pairs)}
+def paired(runs, pairs: int, rounds: int, **extra) -> dict:
+    """Time the parent's and the child's pass over ``pairs`` pairs in ABBA
+    rounds and summarize them; each pass returns (distance, warp values) per pair."""
     times = {"parent": [], "child": []}
     outs = {}
-    for side in sides:  # an untimed pass, so that lazy set-up is not timed
-        timed_pass(*sides[side], grid)
     for r in range(rounds):
         for side in (("parent", "child") if r % 2 == 0 else ("child", "parent")):
-            seconds, outs[side] = timed_pass(*sides[side], grid)
-            times[side].append(seconds / len(pairs))
+            seconds, outs[side] = timed_pass(runs[side])
+            times[side].append(seconds / pairs)
     got, want = outs["child"], outs["parent"]
     identical = all(np.float64(a).tobytes() == np.float64(b).tobytes()
-                    and phi.values.tobytes() == psi.values.tobytes()
-                    for (a, phi), (b, psi) in zip(got, want))
+                    and phi.tobytes() == psi.tobytes() for (a, phi), (b, psi) in zip(got, want))
     rel = max(abs(a - b) / max(abs(b), 1e-300) for (a, _), (b, _) in zip(got, want))
     parent_ms = statistics.median(times["parent"]) * 1e3
     child_ms = statistics.median(times["child"]) * 1e3
@@ -110,10 +109,35 @@ def compare(name, grid, pairs, parent_curves, parent_shape, rounds: int) -> dict
     if rounds >= 2:
         q1, _, q3 = statistics.quantiles(times["parent"], n=4, method="inclusive")
         spread = (q3 - q1) * 1e3 / parent_ms
-    return {"set": name, "pairs": len(pairs), "grid": grid, "rounds": rounds,
+    return {**extra, "pairs": pairs, "rounds": rounds,
             "parent_ms": round(parent_ms, 4), "child_ms": round(child_ms, 4),
             "ratio": round(ratio, 4), "parent_spread": round(spread, 4),
             "identical": identical, "max_rel_diff": 0.0 if identical else rel}
+
+
+def compare(name, grid, pairs, parent_curves, parent_shape, rounds: int) -> dict:
+    own = {id(c): parent_curves.ManifoldCurve(points=c.points, base=c.base)
+           for pair in pairs for c in pair}
+    sides = {"parent": (parent_shape.shape_distance, [(own[id(a)], own[id(b)]) for a, b in pairs]),
+             "child": (shape.shape_distance, pairs)}
+    runs = {side: lambda f=f, ps=ps: [(d, phi.values) for d, phi in (f(a, b, grid) for a, b in ps)]
+            for side, (f, ps) in sides.items()}
+    for run in runs.values():  # an untimed pass, so that lazy set-up is not timed
+        run()
+    return paired(runs, len(pairs), rounds, layer="shape_distance", set=name, grid=grid)
+
+
+def compare_lattice(name, grid, pairs, parent_shape, rounds: int) -> dict:
+    qs = [(shape.tsrv(c0), shape.tsrv(c1)) for c0, c1 in pairs]
+    align = {"parent": parent_shape._dp_align, "child": shape._dp_align}
+    peaks = {}
+    for side, f in align.items():  # the untimed call, traced
+        tracemalloc.start()
+        f(*qs[0], grid)
+        peaks[f"{side}_peak_kb"] = round(tracemalloc.get_traced_memory()[1] / 1024, 1)
+        tracemalloc.stop()
+    runs = {side: lambda f=f: [f(q0, q1, grid) for q0, q1 in qs] for side, f in align.items()}
+    return {**paired(runs, len(pairs), rounds, layer="_dp_align", set=name, grid=grid), **peaks}
 
 
 def main(argv=None) -> None:
@@ -125,9 +149,15 @@ def main(argv=None) -> None:
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         parent_curves, parent_shape = import_revision(args.rev, Path(tmp))
-        for name, grid, pairs in pair_sets(args.pairs):
+        sets = pair_sets(args.pairs)
+        for name, grid, pairs in sets:
             print(json.dumps(compare(name, grid, pairs, parent_curves, parent_shape,
                                      args.rounds)), flush=True)
+        (c10, grid, c10_pairs), (c08, _, c08_pairs) = sets
+        for name, grid, pairs in ((c10, grid, c10_pairs), (c08, 200, c08_pairs),
+                                  (c08, 1000, c08_pairs)):
+            print(json.dumps(compare_lattice(name, grid, pairs, parent_shape, args.rounds)),
+                  flush=True)
 
 
 if __name__ == "__main__":
